@@ -25,9 +25,7 @@ point (~75K RPS) into ``BENCH_engine.json``: deterministic outputs
 (events processed, completions, p99) are checked exactly, the measured
 events/sec must clear a deliberately loose ``min_events_per_sec`` floor
 (a catastrophic-regression tripwire that tolerates slow CI hosts — the
-honest per-host throughput lives in the recorded baseline), and
-``engine_equivalence`` pins the calendar-queue backend byte-identical
-to the default heapq backend.
+honest per-host throughput lives in the recorded baseline).
 
 Usage::
 
@@ -287,76 +285,36 @@ def measure_hybrid() -> dict:
     }
 
 
-def _engine_run(backend=None):
-    """One engine-leg run, optionally forcing a queue backend.
-
-    The backend is selected through ``REPRO_SIM_QUEUE`` (the same knob
-    users have), which only matters while the :class:`Engine` is
-    constructed; the env var is restored before the run starts.
+def _engine_run():
+    """One engine-leg run.
 
     Returns:
-        ``(wall_s, events_processed, queue_backend, result)``.
+        ``(wall_s, events_processed, result)``.
     """
-    import os
-
-    old = os.environ.pop("REPRO_SIM_QUEUE", None)
-    if backend is not None:
-        os.environ["REPRO_SIM_QUEUE"] = backend
-    try:
-        sim = ClusterSimulation(CONFIG, social_network_app("Text"),
-                                rps_per_server=ENGINE_RPS, n_servers=1,
-                                duration_s=ENGINE_DURATION_S, seed=SEED)
-    finally:
-        if backend is not None:
-            del os.environ["REPRO_SIM_QUEUE"]
-        if old is not None:
-            os.environ["REPRO_SIM_QUEUE"] = old
+    sim = ClusterSimulation(CONFIG, social_network_app("Text"),
+                            rps_per_server=ENGINE_RPS, n_servers=1,
+                            duration_s=ENGINE_DURATION_S, seed=SEED)
     t0 = time.perf_counter()
     result = sim.run()
     wall = time.perf_counter() - t0
-    return wall, sim.engine.events_processed, sim.engine.queue_backend, result
+    return wall, sim.engine.events_processed, result
 
 
 def measure_engine() -> dict:
-    """Best-of-N wall for the engine leg on the default backend."""
+    """Best-of-N wall for the engine leg."""
     walls = []
-    events = backend = result = None
+    events = result = None
     for __ in range(REPEATS):
-        wall, events, backend, result = _engine_run()
+        wall, events, result = _engine_run()
         walls.append(wall)
     wall = min(walls)
     return {
         "wall_s": round(wall, 4),
         "events_processed": events,
         "events_per_sec": int(events / wall),
-        "queue_backend": backend,
         "completed": result.completed,
         "p99_us": round(result.p99_ns / 1e3, 3),
     }
-
-
-def engine_equivalence() -> list:
-    """Check the calendar queue replays the heapq run byte-for-byte.
-
-    The two backends share the ``(time, seq)`` total order contract, so
-    every output — event count included — must match exactly.
-
-    Returns:
-        A list of failure strings (empty when equivalent).
-    """
-    failures = []
-    __, h_events, h_backend, h_res = _engine_run()
-    __, c_events, c_backend, c_res = _engine_run("calendar")
-    if h_backend != "heapq":
-        failures.append(f"default queue backend is {h_backend!r}, "
-                        f"expected heapq")
-    if c_backend != "calendar":
-        failures.append("REPRO_SIM_QUEUE=calendar did not select the "
-                        "calendar backend")
-    if c_events != h_events or c_res.as_dict() != h_res.as_dict():
-        failures.append("calendar-queue run diverges from the heapq run "
-                        "(event-order byte-identity broken)")
-    return failures
 
 
 def main() -> int:
@@ -457,15 +415,13 @@ def main() -> int:
                             f"{hybrid[key]} != baseline {hbase[key]}")
     edoc = json.loads(ENGINE_BASELINE_PATH.read_text())
     ebase = edoc["baseline"]
-    failures += engine_equivalence()
     floor = edoc["gate"]["min_events_per_sec"]
     if engine["events_per_sec"] < floor:
         failures.append(
             f"engine throughput collapsed: {engine['events_per_sec']} "
             f"ev/s < {floor} ev/s floor "
             f"(baseline host: {ebase['events_per_sec']} ev/s)")
-    for key in ("events_processed", "completed", "p99_us",
-                "queue_backend"):
+    for key in ("events_processed", "completed", "p99_us"):
         if engine[key] != ebase[key]:
             failures.append(f"deterministic engine output drifted: {key} "
                             f"{engine[key]} != baseline {ebase[key]}")

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.cpu.coherence import CoherenceConfig, CoherenceModel
 from repro.cpu.core_model import CoreModel
+from repro.sched.queueing import erlang_c
 
 
 class EmpiricalDist:
@@ -89,27 +90,15 @@ class MGkModel:
         """Arrival rate at which utilization reaches 1."""
         return self.servers / (self.service_ns * 1e-9)
 
-    def erlang_c(self) -> float:
-        """P(wait) for the underlying M/M/k at the same utilization."""
-        k = self.servers
-        rho = self.utilization
-        if rho >= 1.0:
-            return 1.0
-        a = k * rho  # offered load in Erlangs
-        # Iteratively build the Erlang-B blocking probability, then
-        # convert to Erlang C; numerically stable for large k.
-        b = 1.0
-        for i in range(1, k + 1):
-            b = a * b / (i + a * b)
-        return b / (1.0 - rho * (1.0 - b))
-
     def mean_wait_ns(self) -> float:
         """Mean queueing delay (excluding service) per Allen–Cunneen."""
         rho = self.utilization
         if rho >= 1.0:
             return math.inf
-        wq_mmk = self.erlang_c() * self.service_ns / \
-            (self.servers * (1.0 - rho))
+        if self.rate_rps == 0:
+            return 0.0
+        pw = erlang_c(self.rate_rps, 1e9 / self.service_ns, self.servers)
+        wq_mmk = pw * self.service_ns / (self.servers * (1.0 - rho))
         return (self.ca2 + self.cs2) / 2.0 * wq_mmk
 
     def mean_response_ns(self) -> float:

@@ -83,9 +83,10 @@ class _Transit:
 class _Route:
     """Per-path compiled hop list: link Resources resolved once.
 
-    Holds a strong reference to the (shared, topology-cached) path list
-    it was compiled from, which keeps the ``id(path)`` lookup key in
-    ``Network._routes`` valid for the network's lifetime.
+    Holds a strong reference to the path list it was compiled from.  For
+    the shared, topology-cached lists of a fault-free fabric that keeps
+    the ``id(path)`` lookup key in ``Network._routes`` valid for the
+    network's lifetime; degraded routes are per-message and never cached.
     """
 
     __slots__ = ("path", "links", "pairs", "n_hops")
@@ -143,19 +144,16 @@ class Network:
         ``on_dropped`` fires if given, otherwise nothing does — callers
         with a delivery guarantee wrap sends in a timeout.
 
-        Fault-free sends run a compiled fast path: cached route, cached
-        per-size hop time, and one :class:`_Transit` object instead of a
-        closure chain.  Messages launched while links are failed use the
-        uncompiled path below; either way a mid-flight failure is caught
-        hop-by-hop.  Event order and accounting are byte-identical
-        between the two (pinned by the perf_smoke equivalence gates).
+        Every send walks a compiled :class:`_Route` (link Resources
+        resolved once) with one :class:`_Transit` object and the cached
+        per-size hop time.  Fault-free paths are shared topology-cached
+        lists, so their routes are memoized by ``id(path)``; while any
+        link is failed the topology returns a fresh path list per call,
+        so the route is compiled for this message alone and not stored.
+        Either way a mid-flight link failure is caught hop-by-hop.
         """
         engine = self.engine
         topo = self.topology
-        if topo._failed_links:
-            self._send_degraded(src, dst, size_bytes, on_delivered, rec,
-                                on_dropped)
-            return
         try:
             path = topo.path(src, dst, self.rng)
         except NoPathError:
@@ -194,9 +192,12 @@ class Network:
                             on_delivered)
             return
 
-        route = self._routes.get(id(path))
-        if route is None:
-            route = self._routes[id(path)] = _Route(self, path)
+        if topo._failed_links:
+            route = _Route(self, path)
+        else:
+            route = self._routes.get(id(path))
+            if route is None:
+                route = self._routes[id(path)] = _Route(self, path)
         _Transit(self, route, hop_time, on_delivered, on_dropped)()
 
     def send_fanout(self, sources, dst: str, size_bytes: int,
@@ -252,60 +253,6 @@ class Network:
         # per-send increments.
         self.messages_sent += sent
         self.hops_traversed += hops
-
-    def _send_degraded(self, src: str, dst: str, size_bytes: int,
-                       on_delivered: Callable[[], None], rec=None,
-                       on_dropped: Optional[Callable[[], None]] = None) -> None:
-        """Uncompiled send used while any link is failed (rare path)."""
-        try:
-            path = self.topology.path(src, dst, self.rng)
-        except NoPathError:
-            self._drop(on_dropped)
-            return
-        self.messages_sent += 1
-        if len(path) < 2:
-            self.engine.schedule(0.0, on_delivered)
-            return
-        check = self.engine.check
-        if check.enabled:
-            check.icn_send(self)
-        sent_at = self.engine.now
-        hop_time = self.config.hop_latency_ns + \
-            self.config.serialization_ns(size_bytes)
-        hops = list(zip(path, path[1:]))
-        self.hops_traversed += len(hops)
-
-        if self.engine.tracer.enabled:
-            inner = on_delivered
-            name = f"{src}->{dst}"
-            n_hops = len(hops)
-
-            def on_delivered() -> None:
-                self.engine.tracer.span(
-                    "icn_hop", name, sent_at, self.engine.now, rec=rec,
-                    track="icn", hops=n_hops, bytes=size_bytes)
-                inner()
-
-        if not self.config.contention:
-            total = hop_time * len(hops)
-            self.engine.schedule(total, self._deliver, sent_at, on_delivered)
-            return
-
-        topo = self.topology
-
-        def traverse(index: int) -> None:
-            if index >= len(hops):
-                self._deliver(sent_at, on_delivered)
-                return
-            u, v = hops[index]
-            if topo.has_failures and not topo.link_alive(u, v):
-                # The link died while the message was queued upstream.
-                self._drop(on_dropped, in_flight=True)
-                return
-            self._link(u, v).acquire(hop_time,
-                                     lambda s, f: traverse(index + 1))
-
-        traverse(0)
 
     def _drop(self, on_dropped: Optional[Callable[[], None]],
               in_flight: bool = False) -> None:

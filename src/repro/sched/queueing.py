@@ -7,11 +7,15 @@ the whole dispatch path (RQ, cores, scheduler) against theory.
 
 from __future__ import annotations
 
-import math
-
 
 def erlang_c(arrival_rate: float, service_rate: float, servers: int) -> float:
-    """Probability an arrival waits in an M/M/c queue."""
+    """Probability an arrival waits in an M/M/c queue.
+
+    Builds the Erlang-B blocking probability with the recursion
+    ``B(i) = a B(i-1) / (i + a B(i-1))`` and converts it to Erlang C, so
+    no ``a**k / k!`` term is ever formed: the result stays finite for
+    thousands of servers.
+    """
     if servers < 1:
         raise ValueError("servers must be >= 1")
     if arrival_rate <= 0 or service_rate <= 0:
@@ -20,9 +24,10 @@ def erlang_c(arrival_rate: float, service_rate: float, servers: int) -> float:
     rho = a / servers
     if rho >= 1.0:
         return 1.0
-    summation = sum(a ** k / math.factorial(k) for k in range(servers))
-    top = a ** servers / math.factorial(servers) / (1.0 - rho)
-    return top / (summation + top)
+    b = 1.0
+    for i in range(1, servers + 1):
+        b = a * b / (i + a * b)
+    return b / (1.0 - rho * (1.0 - b))
 
 
 def mmc_mean_wait(arrival_rate: float, service_rate: float,

@@ -1,52 +1,20 @@
 """Event-queue simulation engine.
 
-Two queue backends live behind one ``Engine`` API:
-
-``heapq``
-    The classic binary heap of ``(time, sequence, event)`` tuples.
-
-``calendar``
-    A calendar (bucket) queue: near-future events hash into per-bucket
-    mini-heaps keyed by ``int(time / width)``, far-future events wait in
-    an overflow heap until the active window reaches them.  The bucket
-    width self-tunes from the observed event density, so both dense RPC
-    cascades (nanosecond gaps) and idle stretches (storage waits of many
-    microseconds) stay O(1)-ish per event.
-
-Both backends pop events in exactly the same order: entries are compared
-as ``(time, sequence)`` tuples everywhere, and the sequence number breaks
-same-timestamp ties in scheduling order.  This tie-break is the
-determinism contract every simulation above relies on — see
-docs/PERFORMANCE.md before touching it.
-
-Backend selection: ``Engine(queue="heapq"|"calendar")``, or the
-``REPRO_SIM_QUEUE`` environment variable, falling back to
-``DEFAULT_QUEUE``.  Event order (and therefore every simulation output)
-is byte-identical across backends; only the constant factor differs.
+Pending events live in one binary heap (C ``heapq``) of
+``(time, sequence, event)`` tuples.  Tuples compare as ``(time,
+sequence)``: the sequence number is handed out in scheduling order, so
+same-timestamp events fire first-in first-out.  This ``(time, seq)``
+total order is the determinism contract every simulation above relies
+on — see docs/PERFORMANCE.md before touching it.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Callable, Iterable, Optional
 
 from repro.check.context import NULL_CHECK
 from repro.telemetry.tracer import NULL_TRACER
-
-#: Queue backend used when neither the ``Engine(queue=...)`` argument nor
-#: the ``REPRO_SIM_QUEUE`` environment variable picks one.
-DEFAULT_QUEUE = "heapq"
-
-#: Number of buckets in the calendar queue's active window.  Events
-#: beyond ``window start + _CAL_SPAN * width`` wait in the overflow heap.
-_CAL_SPAN = 1024
-
-#: Resize triggers: a mini-heap growing past ``_CAL_MAX_BUCKET`` means the
-#: width is too coarse; more than ``_CAL_MAX_SCAN_RATIO`` empty-bucket
-#: probes per pop means it is too fine.
-_CAL_MAX_BUCKET = 48
-_CAL_MAX_SCAN_RATIO = 4.0
 
 
 class ScheduledEvent:
@@ -77,19 +45,7 @@ class Engine:
     ['b', 'a']
     """
 
-    def __new__(cls, queue: Optional[str] = None) -> "Engine":
-        # ``Engine(queue="calendar")`` transparently builds the calendar
-        # subclass so call sites never branch on the backend.
-        if cls is Engine:
-            name = queue or os.environ.get("REPRO_SIM_QUEUE") or DEFAULT_QUEUE
-            if name == "calendar":
-                return super().__new__(CalendarEngine)
-            if name != "heapq":
-                raise ValueError(f"unknown event-queue backend {name!r}; "
-                                 f"pick 'heapq' or 'calendar'")
-        return super().__new__(cls)
-
-    def __init__(self, queue: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list = []
         self._seq: int = 0
@@ -105,11 +61,6 @@ class Engine:
         #: the default no-op context keeps checking off the hot path.
         self.check = NULL_CHECK
         self._msg_ids: int = 0
-
-    @property
-    def queue_backend(self) -> str:
-        """Name of the active event-queue backend."""
-        return "heapq"
 
     def next_msg_id(self) -> int:
         """Allocate a run-local message id (deterministic per engine,
@@ -246,280 +197,3 @@ class Engine:
         proc = Process(self, generator)
         self.schedule(delay, proc._advance, None)
         return proc
-
-
-class CalendarEngine(Engine):
-    """Engine whose pending-event queue is a self-tuning calendar queue.
-
-    Near-future events (within ``_CAL_SPAN`` buckets of the cursor) hash
-    into per-bucket mini-heaps; far-future events wait in an overflow
-    heap and migrate into the window when the cursor reaches them.  All
-    entries are ``(time, seq, event)`` tuples compared exactly as in the
-    heapq backend, so pop order — and every simulation output — is
-    byte-identical to it.
-
-    The bucket width retunes from observed behaviour at deterministic,
-    event-driven trigger points (never from wall-clock state): a mini-heap
-    overflowing means the width is too coarse; too many empty-bucket
-    probes per pop means it is too fine.
-    """
-
-    def __init__(self, queue: Optional[str] = None) -> None:
-        super().__init__(queue)
-        self._width = 64.0
-        self._inv = 1.0 / self._width
-        self._buckets: dict = {}       # bucket key -> mini-heap of entries
-        self._far: list = []           # overflow heap beyond the window
-        self._cur = 0                  # cursor bucket key
-        self._wcount = 0               # live+cancelled entries in window
-        self._far_start = _CAL_SPAN * self._width
-        self._pops = 0                 # pops since last retune
-        self._scans = 0                # empty-bucket probes since last retune
-
-    @property
-    def queue_backend(self) -> str:
-        """Name of the active event-queue backend."""
-        return "calendar"
-
-    # -- queue primitives ------------------------------------------------
-
-    def _push(self, t: float, seq: int, ev: ScheduledEvent) -> None:
-        if t >= self._far_start:
-            heapq.heappush(self._far, (t, seq, ev))
-            return
-        k = int(t * self._inv)
-        b = self._buckets.get(k)
-        if b is None:
-            self._buckets[k] = [(t, seq, ev)]
-        else:
-            heapq.heappush(b, (t, seq, ev))
-            if len(b) > _CAL_MAX_BUCKET:
-                self._rebuild(self._width * 0.25)
-        if k < self._cur:
-            # The cursor may sit past this (empty) bucket after a peek
-            # that stopped on a later event; step it back so the new
-            # earlier event is found.  Cheap: re-scans only empty buckets.
-            self._cur = k
-        self._wcount += 1
-
-    def _refill(self) -> bool:
-        """Move the window to the next populated region.
-
-        Returns False when the whole queue is empty.  Also the retune
-        point for idle-heavy runs: refills happen exactly when the window
-        runs dry, which is when the width/gap mismatch shows up.
-        """
-        if self._wcount:
-            return True
-        far = self._far
-        if not far:
-            return False
-        if self._pops and self._scans > _CAL_MAX_SCAN_RATIO * self._pops:
-            # Too sparse: most probes hit empty buckets.  Grow buckets.
-            self._retune_width(self._width * 4.0)
-        t0 = far[0][0]
-        self._cur = int(t0 * self._inv)
-        self._far_start = (self._cur + _CAL_SPAN) * self._width
-        buckets = self._buckets
-        push = heapq.heappush
-        far_start = self._far_start
-        moved = 0
-        while far and far[0][0] < far_start:
-            entry = heapq.heappop(far)
-            k = int(entry[0] * self._inv)
-            b = buckets.get(k)
-            if b is None:
-                buckets[k] = [entry]
-            else:
-                push(b, entry)
-            moved += 1
-        self._wcount = moved
-        return True
-
-    def _retune_width(self, width: float) -> None:
-        width = min(max(width, 1e-3), 1e12)
-        self._width = width
-        self._inv = 1.0 / width
-        self._pops = 0
-        self._scans = 0
-
-    def _rebuild(self, width: float) -> None:
-        """Re-bucket the active window under a new width (cold path)."""
-        entries = []
-        for b in self._buckets.values():
-            entries.extend(b)
-        self._retune_width(width)
-        self._buckets.clear()
-        buckets = self._buckets
-        inv = self._inv
-        push = heapq.heappush
-        for entry in entries:
-            k = int(entry[0] * inv)
-            b = buckets.get(k)
-            if b is None:
-                buckets[k] = [entry]
-            else:
-                push(b, entry)
-        self._cur = int(self.now * inv)
-        # Keep the far boundary where it was: window entries stay within
-        # it by construction, and the next refill recomputes it anyway.
-
-    def _peek_entry(self) -> Optional[tuple]:
-        """Smallest live entry without removing it (cancelled are dropped)."""
-        buckets = self._buckets
-        while True:
-            if not self._wcount and not self._refill():
-                return None
-            cur = self._cur
-            b = buckets.get(cur)
-            while b is None:
-                cur += 1
-                b = buckets.get(cur)
-            self._cur = cur
-            entry = b[0]
-            if entry[2].cancelled:
-                if len(b) == 1:
-                    del buckets[cur]
-                else:
-                    heapq.heappop(b)
-                self._wcount -= 1
-                continue
-            return entry
-
-    def _pop_peeked(self) -> None:
-        """Remove the entry just returned by ``_peek_entry``."""
-        cur = self._cur
-        b = self._buckets[cur]
-        if len(b) == 1:
-            del self._buckets[cur]
-        else:
-            heapq.heappop(b)
-        self._wcount -= 1
-
-    # -- Engine API ------------------------------------------------------
-
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> ScheduledEvent:
-        """Schedule ``fn(*args)`` to run ``delay`` ns from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        t = self.now + delay
-        ev = ScheduledEvent(t, fn, args)
-        seq = self._seq
-        self._seq = seq + 1
-        self._push(t, seq, ev)
-        return ev
-
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> ScheduledEvent:
-        """Schedule ``fn(*args)`` at an absolute timestamp ``time`` ns."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        ev = ScheduledEvent(time, fn, args)
-        seq = self._seq
-        self._seq = seq + 1
-        self._push(time, seq, ev)
-        return ev
-
-    def schedule_at_batch(self, times: Iterable[float],
-                          fn: Callable[..., Any], *args: Any,
-                          append_time: bool = False) -> None:
-        """Bulk-schedule ``fn(*args)`` at each ascending timestamp.
-
-        Same contract as :meth:`Engine.schedule_at_batch`.
-        """
-        times = list(times)
-        if not times:
-            return
-        if times[0] < self.now:
-            raise ValueError(
-                f"cannot schedule in the past: {times[0]} < {self.now}")
-        seq = self._seq
-        push = self._push
-        if append_time:
-            for t in times:
-                push(t, seq, ScheduledEvent(t, fn, args + (t,)))
-                seq += 1
-        else:
-            for t in times:
-                push(t, seq, ScheduledEvent(t, fn, args))
-                seq += 1
-        self._seq = seq
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next pending event, or None when idle."""
-        entry = self._peek_entry()
-        return entry[0] if entry is not None else None
-
-    def step(self) -> bool:
-        """Run the next event.  Returns False when the queue is empty."""
-        entry = self._peek_entry()
-        if entry is None:
-            return False
-        self._pop_peeked()
-        time = entry[0]
-        ev = entry[2]
-        if self.check.enabled:
-            self.check.clock_advance(self.now, time)
-        self.now = time
-        self.events_processed += 1
-        ev.fn(*ev.args)
-        return True
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run events until the queue drains, ``until`` ns, or ``max_events``.
-
-        Inlined like :meth:`Engine.run`; the common case (next event in a
-        nearby bucket) touches one dict probe and one mini-heap pop.
-        """
-        buckets = self._buckets
-        pop = heapq.heappop
-        check = self.check
-        check_on = check.enabled
-        budget = -1 if max_events is None else max_events
-        scans = 0
-        pops = 0
-        while budget != 0:
-            if not self._wcount:
-                self._pops += pops
-                self._scans += scans
-                pops = scans = 0
-                if not self._refill():
-                    break
-            cur = self._cur
-            b = buckets.get(cur)
-            while b is None:
-                cur += 1
-                scans += 1
-                b = buckets.get(cur)
-            self._cur = cur
-            entry = b[0]
-            ev = entry[2]
-            if ev.cancelled:
-                if len(b) == 1:
-                    del buckets[cur]
-                else:
-                    pop(b)
-                self._wcount -= 1
-                continue
-            t = entry[0]
-            if until is not None and t > until:
-                # Clamp: a second run() with an earlier horizon must not
-                # rewind the clock below times already handed out.
-                if until > self.now:
-                    if check_on:
-                        check.clock_advance(self.now, until)
-                    self.now = until
-                break
-            if len(b) == 1:
-                del buckets[cur]
-            else:
-                pop(b)
-            self._wcount -= 1
-            pops += 1
-            if check_on:
-                check.clock_advance(self.now, t)
-            self.now = t
-            self.events_processed += 1
-            ev.fn(*ev.args)
-            budget -= 1
-        self._pops += pops
-        self._scans += scans

@@ -284,52 +284,47 @@ class ClusterSimulation:
                       lambda s=s: s.network.queued_messages())
 
     def _schedule_arrivals(self) -> None:
+        """Draw every root arrival up front and batch-insert it.
+
+        Builds one ``(times, target, args)`` row per arrival process:
+
+        * with a front-end LB, one shared process for the whole cluster,
+          routed per request.  It reuses the ``arrivals0`` stream at the
+          aggregate rate, so lb=rr with one server replays the
+          single-server arrival sequence exactly;
+        * a replayed trace records *cluster-wide* arrivals; without an
+          LB it is dealt round-robin, ``times[i::n]`` per server (each
+          slice stays sorted) — the spread an L4 balancer would produce;
+        * otherwise each server draws from its own ``arrivals{i}`` stream.
+
+        Streams are seeded by name, so the drawing order does not matter;
+        rows are scheduled in table order (the LB row, or servers
+        0..n-1), which fixes the events' ``(time, seq)`` order.
+        """
         profile = self.rate_profile
-        if self.lb is not None:
-            # One shared arrival process for the whole cluster, routed
-            # per-request by the front-end LB.  Reuses the "arrivals0"
-            # stream at the aggregate rate so lb=rr with one server
-            # replays the single-server arrival sequence exactly.
-            rng = self.streams.stream("arrivals0")
+        stream = self.streams.stream
+        if self.lb is not None or getattr(profile, "is_replay", False):
             rate = self.rps_per_server * self.n_servers
-            times = profile.generate(rate, self.duration_s, rng).tolist()
+            times = profile.generate(rate, self.duration_s,
+                                     stream("arrivals0"))
+            if self.lb is not None:
+                rows = [(times, self._route, ())]
+            else:
+                n = self.n_servers
+                rows = [(times[i::n], self._issue, (server,))
+                        for i, server in enumerate(self.servers)]
+        else:
+            rows = [(profile.generate(self.rps_per_server, self.duration_s,
+                                      stream(f"arrivals{i}")),
+                     self._issue, (server,))
+                    for i, server in enumerate(self.servers)]
+        for times, target, args in rows:
+            times = times.tolist()
             self.offered += len(times)
             if self.check.enabled:
                 self.check.root_offered(len(times))
             if times:
-                self.engine.schedule_at_batch(times, self._route,
-                                              append_time=True)
-            return
-        if getattr(profile, "is_replay", False):
-            # A replayed trace records *cluster-wide* arrivals; without
-            # an LB, deal round-robin slices per server (``times[i::n]``
-            # stays sorted, as schedule_at_batch requires) — the spread
-            # an L4 balancer would have produced.
-            rate = self.rps_per_server * self.n_servers
-            rng = self.streams.stream("arrivals0")
-            all_times = profile.generate(rate, self.duration_s, rng)
-            for i, server in enumerate(self.servers):
-                times = all_times[i::self.n_servers].tolist()
-                self.offered += len(times)
-                if self.check.enabled:
-                    self.check.root_offered(len(times))
-                if times:
-                    self.engine.schedule_at_batch(times, self._issue, server,
-                                                  append_time=True)
-            return
-        # Arrival times are bulk-drawn (vectorized) per server from its
-        # dedicated ``arrivals{i}`` stream and batch-inserted; draw
-        # order and event (time, seq) order match the former per-event
-        # loop exactly, so schedules are byte-identical.
-        for i, server in enumerate(self.servers):
-            rng = self.streams.stream(f"arrivals{i}")
-            times = profile.generate(self.rps_per_server, self.duration_s,
-                                     rng).tolist()
-            self.offered += len(times)
-            if self.check.enabled:
-                self.check.root_offered(len(times))
-            if times:
-                self.engine.schedule_at_batch(times, self._issue, server,
+                self.engine.schedule_at_batch(times, target, *args,
                                               append_time=True)
 
     def _route(self, arrival_ns: float) -> None:

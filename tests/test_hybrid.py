@@ -20,6 +20,7 @@ from repro.hybrid import (
     SteadyStateDetector,
     saturation_estimate_rps,
 )
+from repro.sched import erlang_c
 from repro.systems.cluster import ClusterSimulation
 from repro.systems.configs import UMANYCORE
 from repro.workloads.deathstar import social_network_app
@@ -121,11 +122,13 @@ def test_mgk_model_units_and_saturation():
     m = MGkModel(rate_rps=50_000.0, service_ns=10_000.0, servers=1)
     assert m.utilization == pytest.approx(0.5)
     assert m.saturation_rps == pytest.approx(100_000.0)
-    assert 0.0 < m.erlang_c() <= 1.0
+    assert 0.0 < erlang_c(m.rate_rps, 1e9 / m.service_ns, m.servers) <= 1.0
     assert m.mean_wait_ns() > 0.0
     hot = MGkModel(rate_rps=200_000.0, service_ns=10_000.0, servers=1)
-    assert hot.erlang_c() == 1.0
+    assert erlang_c(hot.rate_rps, 1e9 / hot.service_ns, hot.servers) == 1.0
     assert hot.mean_wait_ns() == float("inf")
+    idle = MGkModel(rate_rps=0.0, service_ns=10_000.0, servers=4)
+    assert idle.mean_wait_ns() == 0.0
     with pytest.raises(ValueError):
         MGkModel(rate_rps=-1.0, service_ns=10_000.0, servers=1)
 

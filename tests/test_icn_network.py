@@ -112,3 +112,81 @@ def test_busiest_links_reporting():
     eng.run()
     top = net.busiest_links(top=1)
     assert top[0][1] == 5
+
+
+# ------------------------------------------- degraded fabric (same send path)
+
+
+def degraded_leafspine(contention=True):
+    """Two leaves over two spines with the first spine's uplink from the
+    source leaf failed: every send has to reroute over the second."""
+    eng = Engine()
+    topo = HierarchicalLeafSpine(n_pods=1, leaves_per_pod=2,
+                                 spines_per_pod=2, n_core=1)
+    src, dst = topo.leaf_name(0, 0), topo.leaf_name(0, 1)
+    net = Network(eng, topo,
+                  NetworkConfig(hop_cycles=5, freq_ghz=2.0,
+                                link_bytes_per_ns=1e9, contention=contention),
+                  rng=np.random.default_rng(0))
+    topo.fail_link(src, topo.spine_name(0, 0))
+    return eng, topo, net, src, dst
+
+
+@pytest.mark.parametrize("contention", [True, False])
+def test_rerouted_message_arrives_after_hops_times_hop_time(contention):
+    eng, topo, net, src, dst = degraded_leafspine(contention)
+    done = []
+    net.send(src, dst, 64, lambda: done.append(eng.now))
+    eng.run()
+    assert done == [pytest.approx(2 * 2.5)]
+    assert net.hops_traversed == 2 and net.messages_dropped == 0
+    if contention:
+        assert set(net._links) == {(src, topo.spine_name(0, 1)),
+                                   (topo.spine_name(0, 1), dst)}
+
+
+def test_link_failing_under_a_waiting_message_drops_it_in_flight():
+    eng, topo, net, src, dst = degraded_leafspine()
+    delivered, dropped = [], []
+    for __ in range(2):
+        net.send(src, dst, 64, lambda: delivered.append(eng.now),
+                 on_dropped=lambda: dropped.append(eng.now))
+    # At t=3 the first message is on its second hop; the second still
+    # queues behind it on the first.  Killing the second hop's link now
+    # strands only the one that has not reached it yet.
+    eng.schedule(3.0, topo.fail_link, topo.spine_name(0, 1), dst)
+    eng.run()
+    assert delivered == [pytest.approx(5.0)]
+    assert dropped == [pytest.approx(5.0)]
+    assert net.messages_sent == 2 and net.messages_dropped == 1
+
+
+def test_traced_degraded_sends_emit_one_icn_hop_span_each():
+    from repro.telemetry.tracer import Tracer
+
+    eng, topo, net, src, dst = degraded_leafspine()
+    eng.tracer = Tracer()
+    delivered = []
+    for __ in range(5):
+        net.send(src, dst, 64, lambda: delivered.append(eng.now))
+    eng.run()
+    hops = [s for s in eng.tracer.spans if s.category == "icn_hop"]
+    assert len(hops) == len(delivered) == 5
+    assert [s.end_ns for s in hops] == delivered
+    assert all(s.attrs["hops"] == 2 for s in hops)
+
+
+def test_degraded_sends_do_not_grow_the_route_cache():
+    eng, topo, net, src, dst = degraded_leafspine()
+    topo.recover_link(src, topo.spine_name(0, 0))
+    net.send(src, dst, 64, lambda: None)        # healthy: compiled + cached
+    eng.run()
+    cached = len(net._routes)
+    assert cached == 1
+    topo.fail_link(src, topo.spine_name(0, 0))
+    delivered = []
+    for __ in range(1000):
+        net.send(src, dst, 64, lambda: delivered.append(1))
+    eng.run()
+    assert len(net._routes) == cached
+    assert len(delivered) == 1000 and net.messages_dropped == 0

@@ -187,6 +187,12 @@ def test_erlang_c_known_values():
     assert erlang_c(0.5, 1.0, 1) == pytest.approx(0.5)
     # Overloaded: waits with certainty.
     assert erlang_c(5.0, 1.0, 2) == 1.0
+    # Multi-server values of the textbook a**k / k! formula.
+    assert erlang_c(2.0, 1.0, 4) == pytest.approx(0.1739130434782608)
+    assert erlang_c(50.0, 1.0, 64) == pytest.approx(0.0374514200254933)
+    # uManycore scale: the Erlang-B recursion never overflows.
+    assert 0.0 < erlang_c(900.0, 1.0, 1024) < 1.0
+    assert erlang_c(100.0, 1.0, 200) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValueError):
         erlang_c(1.0, 1.0, 0)
     with pytest.raises(ValueError):

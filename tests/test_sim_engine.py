@@ -1,41 +1,23 @@
 """Unit tests for the discrete-event engine.
 
-Every micro-semantics test runs against BOTH queue backends (the
-default C-heapq and the calendar queue): the two must agree on the
-full ``(time, seq)`` total order — same-time FIFO, cancellation,
-clock clamping and event budgets included — because the simulation's
-byte-identity contract rides on it (see docs/PERFORMANCE.md).
+The engine pops events in ``(time, seq)`` order: same-time events fire
+in scheduling order, and cancellation, clock clamping and event budgets
+are pinned below because the simulation's byte-identity contract rides
+on them (see docs/PERFORMANCE.md).  The adversarial test at the end
+replays one schedule on the engine and on a sorted-list reference queue.
 """
+
+import bisect
 
 import pytest
 
 from repro.sim import Engine
-from repro.sim.engine import CalendarEngine
-
-BACKENDS = ("heapq", "calendar")
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=["heapq"])
 def eng(request):
-    return Engine(queue=request.param)
-
-
-def test_backend_selection():
-    assert Engine().queue_backend == "heapq"
-    assert Engine(queue="heapq").queue_backend == "heapq"
-    cal = Engine(queue="calendar")
-    assert cal.queue_backend == "calendar"
-    assert isinstance(cal, CalendarEngine)
-    assert isinstance(cal, Engine)
-    with pytest.raises(ValueError):
-        Engine(queue="fibheap")
-
-
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_QUEUE", "calendar")
-    assert Engine().queue_backend == "calendar"
-    # An explicit argument beats the environment.
-    assert Engine(queue="heapq").queue_backend == "heapq"
+    """The engine under test, id'd by its queue structure (C heapq)."""
+    return Engine()
 
 
 def test_events_fire_in_time_order(eng):
@@ -178,23 +160,61 @@ def test_events_processed_counter(eng):
     assert eng.events_processed == 7
 
 
-def test_backends_agree_on_adversarial_schedule():
-    """Cross-check the calendar queue against heapq on a schedule built
-    to stress its mechanics: far-future events (overflow heap), dense
-    same-bucket ties (width retune), reschedules below the cursor, and
-    mid-run cancellations."""
+class _RefEvent:
+    def __init__(self, fn, args):
+        self.fn = fn
+        self.args = args
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _ReferenceQueue:
+    """The engine's contract spelled out: a list kept sorted on
+    ``(time, seq)``, popped from the front."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self._entries = []
+        self._seq = 0
+
+    def schedule_at(self, time, fn, *args):
+        ev = _RefEvent(fn, args)
+        # seq is unique, so tuple comparison never reaches the event.
+        bisect.insort(self._entries, (time, self._seq, ev))
+        self._seq += 1
+        return ev
+
+    def schedule(self, delay, fn, *args):
+        return self.schedule_at(self.now + delay, fn, *args)
+
+    def run(self):
+        while self._entries:
+            time, __, ev = self._entries.pop(0)
+            if ev.cancelled:
+                continue
+            self.now = time
+            self.events_processed += 1
+            ev.fn(*ev.args)
+
+
+def test_engine_matches_reference_queue_on_adversarial_schedule():
+    """Heavy timestamp ties, far-future events, mid-run cancellations
+    and reschedules from inside callbacks: the engine must fire exactly
+    what a sorted ``(time, seq)`` list fires, in the same order."""
     import numpy as np
 
-    def drive(backend):
+    def drive(eng):
         rng = np.random.default_rng(1234)
-        eng = Engine(queue=backend)
         fired = []
         pending = []
 
         def fire(tag):
             fired.append((round(eng.now, 9), tag))
             # Occasionally cancel a pending event and schedule new ones
-            # (some near, some far beyond the calendar window).
+            # (some at the same instant, some far in the future).
             if pending and tag % 3 == 0:
                 pending.pop(len(pending) // 2).cancel()
             if tag < 400:
@@ -207,4 +227,6 @@ def test_backends_agree_on_adversarial_schedule():
         eng.run()
         return fired, eng.now, eng.events_processed
 
-    assert drive("heapq") == drive("calendar")
+    got = drive(Engine())
+    assert got == drive(_ReferenceQueue())
+    assert got[2] < 800                  # cancelled events were skipped
