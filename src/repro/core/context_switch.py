@@ -151,7 +151,9 @@ class SchedulerDomain:
         if self.engine.tracer.enabled:
             done = self._traced(done, "save", rec)
         if self._sched_core is not None:
-            self._sched_core.acquire(self._save_ns, lambda s, f: done())
+            # A lambda of this module rather than ``done`` itself, so
+            # scheduler-core completions are owned by this layer.
+            self._sched_core.acquire(self._save_ns, lambda: done())
         else:
             self.engine.schedule(self._save_ns, done)
 
@@ -160,7 +162,7 @@ class SchedulerDomain:
         if self.engine.tracer.enabled:
             done = self._traced(done, "restore", rec)
         if self._sched_core is not None:
-            self._sched_core.acquire(self._restore_ns, lambda s, f: done())
+            self._sched_core.acquire(self._restore_ns, lambda: done())
         else:
             self.engine.schedule(self._restore_ns, done)
 
@@ -183,7 +185,7 @@ class SchedulerDomain:
         if self.engine.tracer.enabled:
             done = self._traced(done, "sched_op", rec)
         if self._sched_core is not None:
-            self._sched_core.acquire(op_ns, lambda s, f: done())
+            self._sched_core.acquire(op_ns, lambda: done())
         else:
             self.engine.schedule(op_ns, done)
 
@@ -192,7 +194,7 @@ class SchedulerDomain:
         core, contending with the dispatch path but with no completion
         callback of its own."""
         if busy_ns > 0 and self._sched_core is not None:
-            self._sched_core.acquire(busy_ns, lambda s, f: None)
+            self._sched_core.acquire(busy_ns, lambda: None)
 
     def scheduler_utilization(self) -> float:
         if self._sched_core is None:

@@ -42,10 +42,15 @@ class NetworkConfig:
 class _Transit:
     """One in-flight message walking a compiled route's link resources.
 
-    Replaces the per-message closure chain (one ``traverse`` closure plus
-    one lambda per hop) with a single object; it *is* the Resource done
-    callback (``done(start, finish)``), so each hop costs one bound-call
-    and one ``acquire``.
+    The link hop is the unit of work: each hop is one scheduled
+    :meth:`hop_done` event and one Python frame, which drives the link
+    ``Resource``s directly instead of going through
+    ``Resource.acquire``/``_finish``.  Link resources are therefore
+    driven only by transits — their queues hold ``(arrival, hop_time,
+    transit)`` waiters — while their counters (``busy``,
+    ``jobs_served``, ``busy_time``, ``wait_time_total``,
+    ``max_queue_len``) and invariant-checker hooks evolve exactly as
+    ``Resource`` would update them.
     """
 
     __slots__ = ("net", "route", "hop_time", "sent_at",
@@ -62,22 +67,58 @@ class _Transit:
         self.on_dropped = on_dropped
         self.idx = 0
 
-    def __call__(self, _start: float = 0.0, _finish: float = 0.0) -> None:
+    def hop_done(self) -> None:
+        """Finish hop ``idx - 1`` and take the next one.
+
+        Called once directly at send time (``idx == 0``: no link to
+        release) and then as the event ending each hop.  The order is
+        ``Resource._finish``'s: the finished link's bookkeeping, then
+        the continuation (the next link's acquire, or delivery — whose
+        callback may re-acquire the link just freed ahead of its queue),
+        then the freed link starts its next queued waiter.
+        """
         net = self.net
+        engine = net.engine
+        check = engine.check
         route = self.route
         i = self.idx
+        if i:
+            freed = route.links[i - 1]
+            freed.busy -= 1
+            freed.jobs_served += 1
+            freed.busy_time += self.hop_time
+            if check.enabled:
+                check.resource_event(freed)
+        else:
+            freed = None
+
         if i >= route.n_hops:
             net._deliver(self.sent_at, self.on_delivered)
-            return
-        topo = net.topology
-        if topo._failed_links:
-            u, v = route.pairs[i]
-            if not topo.link_alive(u, v):
-                # The link died while the message was queued upstream.
-                net._drop(self.on_dropped, in_flight=True)
-                return
-        self.idx = i + 1
-        route.links[i].acquire(self.hop_time, self)
+        elif net.topology._failed_links and \
+                not net.topology.link_alive(*route.pairs[i]):
+            # The link died while the message was queued upstream.
+            net._drop(self.on_dropped, in_flight=True)
+        else:
+            self.idx = i + 1
+            link = route.links[i]
+            if link.busy < link.capacity:
+                link.busy += 1
+                if check.enabled:
+                    check.resource_event(link)
+                engine.schedule(self.hop_time, self.hop_done)
+            else:
+                queue = link._queue
+                queue.append((engine.now, self.hop_time, self))
+                if len(queue) > link.max_queue_len:
+                    link.max_queue_len = len(queue)
+
+        if freed is not None and freed._queue and freed.busy < freed.capacity:
+            arrival, hop_time, waiter = freed._queue.popleft()
+            freed.busy += 1
+            freed.wait_time_total += engine.now - arrival
+            if check.enabled:
+                check.resource_event(freed)
+            engine.schedule(hop_time, waiter.hop_done)
 
 
 class _Route:
@@ -198,7 +239,7 @@ class Network:
             route = self._routes.get(id(path))
             if route is None:
                 route = self._routes[id(path)] = _Route(self, path)
-        _Transit(self, route, hop_time, on_delivered, on_dropped)()
+        _Transit(self, route, hop_time, on_delivered, on_dropped).hop_done()
 
     def send_fanout(self, sources, dst: str, size_bytes: int,
                     on_each: Callable[[], None], rec=None) -> None:
@@ -247,7 +288,7 @@ class Network:
             route = routes.get(id(path))
             if route is None:
                 route = routes[id(path)] = _Route(self, path)
-            _Transit(self, route, hop_time, on_each, None)()
+            _Transit(self, route, hop_time, on_each, None).hop_done()
         # The loop is synchronous (no event runs mid-batch), so the
         # deferred counter flush is observationally identical to the
         # per-send increments.
@@ -274,12 +315,6 @@ class Network:
     def queued_messages(self) -> int:
         """Messages currently waiting on busy links (contention gauge)."""
         return sum(res.queue_length for res in self._links.values())
-
-    def transit_time(self, src: str, dst: str, size_bytes: int) -> float:
-        """Contention-free latency of one message (for analytic baselines)."""
-        hops = len(self.topology.path(src, dst, self.rng)) - 1
-        return max(0, hops) * (self.config.hop_latency_ns
-                               + self.config.serialization_ns(size_bytes))
 
     @property
     def mean_latency(self) -> float:

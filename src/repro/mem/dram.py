@@ -69,7 +69,7 @@ class Dram:
             self._open_rows[channel][bank] = row
         start = self.engine.now
         self._channels[channel].acquire(
-            service, lambda s, f: done(self.engine.now - start))
+            service, lambda: done(self.engine.now - start))
 
     @property
     def accesses(self) -> int:

@@ -86,5 +86,5 @@ class MemoryPool:
         start = self.engine.now
         self._lmem.acquire(
             copy_ns,
-            lambda s, f: self.engine.schedule(
+            lambda: self.engine.schedule(
                 overhead_ns, lambda: done(self.engine.now - start)))

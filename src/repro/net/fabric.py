@@ -61,7 +61,7 @@ class InterServerFabric:
         serialize = size_bytes / cfg.bytes_per_ns
         self._egress[src_server].acquire(
             serialize,
-            lambda s, f: self.engine.schedule(cfg.one_way_latency_ns, done))
+            lambda: self.engine.schedule(cfg.one_way_latency_ns, done))
 
 
 class StorageBackend:

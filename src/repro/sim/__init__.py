@@ -7,14 +7,14 @@ processes (:mod:`repro.sim.process`), FIFO resources with queueing
 (:mod:`repro.sim.rng`).
 """
 
-from repro.sim.engine import Engine, ScheduledEvent
+from repro.sim.engine import Engine, Event
 from repro.sim.process import Process, Signal, Timeout
 from repro.sim.resource import FifoQueue, Resource
 from repro.sim.rng import RngStreams
 
 __all__ = [
     "Engine",
-    "ScheduledEvent",
+    "Event",
     "Process",
     "Signal",
     "Timeout",

@@ -1,11 +1,16 @@
 """Event-queue simulation engine.
 
-Pending events live in one binary heap (C ``heapq``) of
-``(time, sequence, event)`` tuples.  Tuples compare as ``(time,
-sequence)``: the sequence number is handed out in scheduling order, so
+Pending events live in one binary heap (C ``heapq``) of plain
+``[time, seq, fn, args]`` lists.  Entries compare as ``(time, seq)``
+(the sequence number is unique, so comparison never reaches ``fn``):
+the sequence number is handed out in scheduling order, so
 same-timestamp events fire first-in first-out.  This ``(time, seq)``
 total order is the determinism contract every simulation above relies
 on — see docs/PERFORMANCE.md before touching it.
+
+The entry itself is the event's handle: ``schedule``/``schedule_at``
+return it and :meth:`Engine.cancel` clears its callback slot, so
+scheduling allocates nothing beyond the entry and its argument tuple.
 """
 
 from __future__ import annotations
@@ -17,20 +22,9 @@ from repro.check.context import NULL_CHECK
 from repro.telemetry.tracer import NULL_TRACER
 
 
-class ScheduledEvent:
-    """Handle for a scheduled callback; supports cancellation."""
-
-    __slots__ = ("time", "fn", "args", "cancelled")
-
-    def __init__(self, time: float, fn: Callable[..., Any], args: tuple):
-        self.time = time
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing (lazy removal from the queue)."""
-        self.cancelled = True
+#: A pending event: ``[time, seq, fn, args]``; ``fn`` is None once
+#: cancelled.  Returned by ``schedule``/``schedule_at`` as the handle.
+Event = list
 
 
 class Engine:
@@ -69,25 +63,35 @@ class Engine:
         self._msg_ids += 1
         return mid
 
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> ScheduledEvent:
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` ns from now."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        ev = ScheduledEvent(self.now + delay, fn, args)
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._heap, (ev.time, seq, ev))
+        ev = [self.now + delay, seq, fn, args]
+        heapq.heappush(self._heap, ev)
         return ev
 
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> ScheduledEvent:
+    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at an absolute timestamp ``time`` ns."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        ev = ScheduledEvent(time, fn, args)
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._heap, (time, seq, ev))
+        ev = [time, seq, fn, args]
+        heapq.heappush(self._heap, ev)
         return ev
+
+    @staticmethod
+    def cancel(ev: Event) -> None:
+        """Prevent a scheduled event from firing.
+
+        Lazy removal: the entry stays queued with its callback slot
+        cleared and is discarded when it surfaces at the head.
+        Cancelling an event that already fired is a no-op.
+        """
+        ev[2] = None
 
     def schedule_at_batch(self, times: Iterable[float],
                           fn: Callable[..., Any], *args: Any,
@@ -116,11 +120,11 @@ class Engine:
         push = heapq.heappush
         if append_time:
             for t in times:
-                push(heap, (t, seq, ScheduledEvent(t, fn, args + (t,))))
+                push(heap, [t, seq, fn, args + (t,)])
                 seq += 1
         else:
             for t in times:
-                push(heap, (t, seq, ScheduledEvent(t, fn, args)))
+                push(heap, [t, seq, fn, args])
                 seq += 1
         self._seq = seq
 
@@ -129,7 +133,7 @@ class Engine:
         heap = self._heap
         while heap:
             entry = heap[0]
-            if entry[2].cancelled:
+            if entry[2] is None:
                 heapq.heappop(heap)
                 continue
             return entry[0]
@@ -139,14 +143,14 @@ class Engine:
         """Run the next event.  Returns False when the queue is empty."""
         heap = self._heap
         while heap:
-            time, __, ev = heapq.heappop(heap)
-            if ev.cancelled:
+            time, __, fn, args = heapq.heappop(heap)
+            if fn is None:
                 continue
             if self.check.enabled:
                 self.check.clock_advance(self.now, time)
             self.now = time
             self.events_processed += 1
-            ev.fn(*ev.args)
+            fn(*args)
             return True
         return False
 
@@ -169,8 +173,8 @@ class Engine:
             if budget == 0:
                 break
             entry = heap[0]
-            ev = entry[2]
-            if ev.cancelled:
+            fn = entry[2]
+            if fn is None:
                 pop(heap)
                 continue
             t = entry[0]
@@ -187,7 +191,7 @@ class Engine:
                 check.clock_advance(self.now, t)
             self.now = t
             self.events_processed += 1
-            ev.fn(*ev.args)
+            fn(*entry[3])
             budget -= 1
 
     def spawn(self, generator, delay: float = 0.0) -> "Process":

@@ -15,9 +15,9 @@ from typing import Any, Callable, Deque, Optional, Tuple
 class Resource:
     """``capacity`` servers with a shared FIFO queue.
 
-    ``acquire(service_time, done)`` enqueues a job; ``done(start, finish)``
-    is called when the job completes service.  Utilization statistics are
-    tracked for reporting.
+    ``acquire(service_time, done)`` enqueues a job; ``done()`` is called
+    when the job completes service.  Utilization statistics are tracked
+    for reporting.
     """
 
     def __init__(self, engine, capacity: int = 1, name: str = ""):
@@ -27,7 +27,9 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self.busy = 0
-        self._queue: Deque[Tuple[float, float, Callable]] = deque()
+        #: Waiting jobs as ``(arrival, service_time, done)``; an ICN link
+        #: queues the waiting ``_Transit`` itself (:mod:`repro.icn.network`).
+        self._queue: Deque[Tuple[float, float, Any]] = deque()
         self.jobs_served = 0
         check = getattr(engine, "check", None)
         if check is not None and check.enabled:
@@ -36,7 +38,7 @@ class Resource:
         self.wait_time_total = 0.0
         self.max_queue_len = 0
 
-    def acquire(self, service_time: float, done: Callable[[float, float], None]) -> None:
+    def acquire(self, service_time: float, done: Callable[[], None]) -> None:
         """Request ``service_time`` ns of this resource; FIFO order."""
         if service_time < 0:
             raise ValueError(f"negative service time: {service_time}")
@@ -48,8 +50,7 @@ class Resource:
             check = engine.check
             if check.enabled:
                 check.resource_event(self)
-            engine.schedule(service_time, self._finish, engine.now,
-                            service_time, done)
+            engine.schedule(service_time, self._finish, service_time, done)
         else:
             self._queue.append((self.engine.now, service_time, done))
             if len(self._queue) > self.max_queue_len:
@@ -61,21 +62,20 @@ class Resource:
 
     def _start(self, arrival: float, service_time: float, done: Callable) -> None:
         self.busy += 1
-        start = self.engine.now
-        self.wait_time_total += start - arrival
+        self.wait_time_total += self.engine.now - arrival
         check = self.engine.check
         if check.enabled:
             check.resource_event(self)
-        self.engine.schedule(service_time, self._finish, start, service_time, done)
+        self.engine.schedule(service_time, self._finish, service_time, done)
 
-    def _finish(self, start: float, service_time: float, done: Callable) -> None:
+    def _finish(self, service_time: float, done: Callable) -> None:
         self.busy -= 1
         self.jobs_served += 1
         self.busy_time += service_time
         check = self.engine.check
         if check.enabled:
             check.resource_event(self)
-        done(start, self.engine.now)
+        done()
         if self._queue and self.busy < self.capacity:
             arrival, svc, cb = self._queue.popleft()
             self._start(arrival, svc, cb)

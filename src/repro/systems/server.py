@@ -641,7 +641,7 @@ class Server:
                 self._coh_response_bytes,
                 lambda: self._nic_links[self.village_cluster(v)].acquire(
                     self._nic_hop_ns,
-                    lambda s, f: self.top_nic.process(
+                    lambda: self.top_nic.process(
                         RESPONSE_BYTES,
                         lambda: self.fabric.send(self.server_id,
                                                  self.server_id,
@@ -710,7 +710,7 @@ class Server:
 
         self._nic_links[cluster].acquire(
             self._nic_hop_ns,
-            lambda s, f: self.network.send(
+            lambda: self.network.send(
                 self._leaf(cluster), self._village_node(village_id),
                 self._coh_request_bytes, deliver, rec=rec))
 
@@ -873,8 +873,9 @@ class _ResilientCall:
     # -------------------------------------------------------- resolutions
 
     def _cancel_all(self) -> None:
+        cancel = self.server.engine.cancel
         for ev in self.events:
-            ev.cancel()
+            cancel(ev)
         self.events.clear()
 
     def _complete(self, child: RequestRecord) -> None:
@@ -926,7 +927,7 @@ class _ResilientRoot:
             return
         self.done = True
         if self.timeout_ev is not None:
-            self.timeout_ev.cancel()
+            self.server.engine.cancel(self.timeout_ev)
         self.on_done(rec)
 
     def _timeout(self) -> None:

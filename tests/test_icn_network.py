@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.icn import HierarchicalLeafSpine, Mesh2D, Network, NetworkConfig
-from repro.sim import Engine
+from repro.sim import Engine, Resource
 
 
 def line_topology(n=3):
@@ -190,3 +190,117 @@ def test_degraded_sends_do_not_grow_the_route_cache():
     eng.run()
     assert len(net._routes) == cached
     assert len(delivered) == 1000 and net.messages_dropped == 0
+
+
+# ------------------------------------ hop fast path vs a plain-Resource walker
+
+
+def mixed_topology():
+    """Two routes into ``d`` that merge on the capacity-1 link c->d, a
+    capacity-2 link b->c shared by three sources, and a side branch."""
+    from repro.icn.topology import Topology
+
+    t = Topology()
+    t.add_link("a", "b")
+    t.add_link("x", "b")
+    t.add_link("b", "c", capacity=2)
+    t.add_link("c", "d")
+    t.add_link("y", "c")
+    t.add_link("b", "z")
+    return t
+
+
+class _RefWalker:
+    """Reference hop walker: one plain ``Resource`` per link and one
+    ``acquire`` per hop, each hop's completion callback acquiring the
+    next link (``Resource._finish`` runs that callback before starting
+    the link's next queued job)."""
+
+    def __init__(self, eng, topo, cfg):
+        self.eng = eng
+        self.topo = topo
+        self.cfg = cfg
+        self.links = {}
+
+    def send(self, src, dst, size, on_delivered):
+        path = self.topo.path(src, dst)
+        hop_time = self.cfg.hop_latency_ns + self.cfg.serialization_ns(size)
+        links = []
+        for u, v in zip(path, path[1:]):
+            if (u, v) not in self.links:
+                self.links[(u, v)] = Resource(
+                    self.eng, capacity=self.topo.link_capacity(u, v))
+            links.append(self.links[(u, v)])
+
+        def hop(i):
+            if i == len(links):
+                on_delivered()
+            else:
+                links[i].acquire(hop_time, lambda: hop(i + 1))
+
+        hop(0)
+
+
+def drive_contended_stream(eng, send, links):
+    """Inject a contended stream with same-ns ties; a ``bounce`` message
+    re-sends over c->d the moment its own c->d hop frees that link, so
+    the re-send jumps the messages queued there.  Returns the delivery
+    log and the c->d queue lengths seen at each bounce."""
+    rng = np.random.default_rng(5)
+    routes = [("a", "d"), ("x", "d"), ("y", "d"), ("a", "c"), ("x", "z"),
+              ("a", "z")]
+    delivered, queued_at_bounce = [], []
+
+    def on_delivered(tag):
+        delivered.append((eng.now, tag))
+        if tag.startswith("bounce") and not tag.endswith("'"):
+            queued_at_bounce.append(links()[("c", "d")].queue_length)
+            send("c", "d", 64, lambda: on_delivered(tag + "'"))
+
+    for i in range(120):
+        t = float(rng.integers(0, 40)) * 1.5     # heavy same-ns ties
+        src, dst = routes[int(rng.integers(len(routes)))]
+        size = int(rng.choice([64, 128, 512]))
+        tag = f"{'bounce' if dst == 'd' and i % 4 == 0 else 'm'}{i}"
+        eng.schedule_at(t, lambda s=src, d=dst, n=size, g=tag: send(
+            s, d, n, lambda: on_delivered(g)))
+    eng.run()
+    return delivered, queued_at_bounce
+
+
+LINK_STATS = ("jobs_served", "busy_time", "wait_time_total", "max_queue_len")
+
+
+@pytest.mark.parametrize("checked", [False, True])
+def test_hop_fast_path_matches_plain_resource_walker(checked):
+    """Delivery times and order, and every link's queueing statistics,
+    equal those of a walker built from plain Resources — exactly, not
+    approximately: the fast path must keep Resource's event order."""
+    from repro.check.context import CheckContext
+
+    cfg = NetworkConfig(hop_cycles=2, freq_ghz=1.0, link_bytes_per_ns=64.0)
+
+    eng = Engine()
+    if checked:
+        eng.check = CheckContext(fail_fast=True)
+    net = Network(eng, mixed_topology(), cfg)
+    got, bounces = drive_contended_stream(
+        eng, lambda s, d, n, cb: net.send(s, d, n, cb), lambda: net._links)
+
+    ref_eng = Engine()
+    ref = _RefWalker(ref_eng, mixed_topology(), cfg)
+    want, ref_bounces = drive_contended_stream(
+        ref_eng, ref.send, lambda: ref.links)
+
+    assert got == want
+    assert bounces == ref_bounces and max(bounces) > 0   # queue was jumped
+    assert eng.events_processed == ref_eng.events_processed
+    assert net._links.keys() == ref.links.keys()
+    for key, res in ref.links.items():
+        stats = [getattr(net._links[key], f) for f in LINK_STATS]
+        assert stats == [getattr(res, f) for f in LINK_STATS], key
+    assert net._links[("b", "c")].capacity == 2
+    assert net._links[("b", "c")].max_queue_len > 0
+    assert sum(r.wait_time_total for r in net._links.values()) > 0
+    if checked:
+        assert eng.check.finalize() == []

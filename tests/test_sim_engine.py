@@ -41,7 +41,7 @@ def test_same_time_events_fire_in_scheduling_order(eng):
 def test_cancelled_event_does_not_fire(eng):
     fired = []
     ev = eng.schedule(1.0, fired.append, "x")
-    ev.cancel()
+    eng.cancel(ev)
     eng.schedule(2.0, fired.append, "y")
     eng.run()
     assert fired == ["y"]
@@ -51,13 +51,13 @@ def test_peek_time_skips_cancelled_events(eng):
     first = eng.schedule(1.0, lambda: None)
     eng.schedule(2.0, lambda: None)
     assert eng.peek_time() == 1.0
-    first.cancel()
+    eng.cancel(first)
     assert eng.peek_time() == 2.0
 
 
 def test_peek_time_empty_after_all_cancelled(eng):
     ev = eng.schedule(1.0, lambda: None)
-    ev.cancel()
+    eng.cancel(ev)
     assert eng.peek_time() is None
 
 
@@ -65,7 +65,7 @@ def test_step_skips_cancelled_and_advances_clock(eng):
     fired = []
     ev = eng.schedule(1.0, fired.append, "dead")
     eng.schedule(2.0, fired.append, "live")
-    ev.cancel()
+    eng.cancel(ev)
     assert eng.step() is True
     assert fired == ["live"] and eng.now == 2.0
     assert eng.step() is False
@@ -160,14 +160,41 @@ def test_events_processed_counter(eng):
     assert eng.events_processed == 7
 
 
+def test_cancelled_events_consume_no_budget_and_no_count(eng):
+    fired = []
+    handles = [eng.schedule(float(i), fired.append, i) for i in range(6)]
+    for ev in handles[1:4]:
+        eng.cancel(ev)
+    eng.run(max_events=2)
+    assert fired == [0, 4] and eng.events_processed == 2
+    eng.run()
+    assert fired == [0, 4, 5] and eng.events_processed == 3
+
+
+def test_cancel_after_firing_is_a_no_op(eng):
+    fired = []
+    ev = eng.schedule(1.0, fired.append, "x")
+    eng.run()
+    eng.cancel(ev)
+    eng.schedule(1.0, fired.append, "y")
+    eng.run()
+    assert fired == ["x", "y"] and eng.events_processed == 2
+
+
+def test_schedule_returns_a_plain_entry(eng):
+    """The handle is the heap entry itself: no per-event object."""
+    fired = []
+    ev = eng.schedule_at(3.0, fired.extend, "ab")
+    assert type(ev) is list and ev[0] == 3.0 and ev[3] == ("ab",)
+    eng.run()
+    assert fired == ["a", "b"]
+
+
 class _RefEvent:
     def __init__(self, fn, args):
         self.fn = fn
         self.args = args
         self.cancelled = False
-
-    def cancel(self):
-        self.cancelled = True
 
 
 class _ReferenceQueue:
@@ -189,6 +216,10 @@ class _ReferenceQueue:
 
     def schedule(self, delay, fn, *args):
         return self.schedule_at(self.now + delay, fn, *args)
+
+    @staticmethod
+    def cancel(ev):
+        ev.cancelled = True
 
     def run(self):
         while self._entries:
@@ -216,7 +247,7 @@ def test_engine_matches_reference_queue_on_adversarial_schedule():
             # Occasionally cancel a pending event and schedule new ones
             # (some at the same instant, some far in the future).
             if pending and tag % 3 == 0:
-                pending.pop(len(pending) // 2).cancel()
+                eng.cancel(pending.pop(len(pending) // 2))
             if tag < 400:
                 delay = float(rng.choice([0.0, 0.25, 1.0, 900_000.0]))
                 pending.append(eng.schedule(delay, fire, tag + 400))

@@ -9,11 +9,12 @@ def test_single_server_serializes_jobs():
     eng = Engine()
     res = Resource(eng, capacity=1)
     finishes = []
-    res.acquire(10.0, lambda s, f: finishes.append((s, f)))
-    res.acquire(10.0, lambda s, f: finishes.append((s, f)))
+    res.acquire(10.0, lambda: finishes.append(eng.now))
+    res.acquire(10.0, lambda: finishes.append(eng.now))
     eng.run()
-    assert finishes == [(0.0, 10.0), (10.0, 20.0)]
+    assert finishes == [10.0, 20.0]
     assert res.jobs_served == 2
+    assert res.busy_time == 20.0 and res.wait_time_total == 10.0
 
 
 def test_capacity_two_runs_jobs_in_parallel():
@@ -21,7 +22,7 @@ def test_capacity_two_runs_jobs_in_parallel():
     res = Resource(eng, capacity=2)
     finishes = []
     for __ in range(2):
-        res.acquire(10.0, lambda s, f: finishes.append(f))
+        res.acquire(10.0, lambda: finishes.append(eng.now))
     eng.run()
     assert finishes == [10.0, 10.0]
 
@@ -31,7 +32,7 @@ def test_fifo_order_preserved():
     res = Resource(eng, capacity=1)
     order = []
     for i in range(5):
-        res.acquire(1.0, lambda s, f, i=i: order.append(i))
+        res.acquire(1.0, lambda i=i: order.append(i))
     eng.run()
     assert order == [0, 1, 2, 3, 4]
 
@@ -39,7 +40,7 @@ def test_fifo_order_preserved():
 def test_utilization_accounting():
     eng = Engine()
     res = Resource(eng, capacity=1)
-    res.acquire(30.0, lambda s, f: None)
+    res.acquire(30.0, lambda: None)
     eng.run()
     eng.now = 60.0
     assert res.utilization() == pytest.approx(0.5)
@@ -49,7 +50,7 @@ def test_negative_service_time_rejected():
     eng = Engine()
     res = Resource(eng)
     with pytest.raises(ValueError):
-        res.acquire(-1.0, lambda s, f: None)
+        res.acquire(-1.0, lambda: None)
 
 
 def test_mm1_queue_matches_theory():
@@ -67,7 +68,7 @@ def test_mm1_queue_matches_theory():
         t += rng.exponential(1.0 / lam)
         svc = rng.exponential(1.0 / mu)
         def arrive(svc=svc, arrival=t):
-            res.acquire(svc, lambda s, f, a=arrival: sojourn.append(f - a))
+            res.acquire(svc, lambda a=arrival: sojourn.append(eng.now - a))
         eng.schedule_at(t, arrive)
     eng.run()
 
