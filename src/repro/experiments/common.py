@@ -87,12 +87,6 @@ def point_for(config: SystemConfig, app: AppSpec, rps: float,
                       warmup_fraction=settings.warmup_fraction, **overrides)
 
 
-def run_point(config: SystemConfig, app: AppSpec, rps: float,
-              settings: Settings) -> RunResult:
-    """One (system, app, load) cell, memoized within the process."""
-    return run_points([point_for(config, app, rps, settings)])[0]
-
-
 def run_matrix(configs: Sequence[SystemConfig], apps: Sequence[AppSpec],
                loads: Sequence[float], settings: Settings,
                progress: bool = False

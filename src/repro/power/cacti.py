@@ -40,10 +40,3 @@ def sram_read_energy_pj(size_bytes: float, assoc: int = 8,
     size_factor = (size_bytes / (64 * 1024)) ** 0.35
     base = _READ_PJ_PER_ACCESS_64B_32 * size_factor * (1 + 0.06 * (assoc - 1))
     return scale_power(base, 32, tech_nm)
-
-
-def sram_dynamic_power_w(size_bytes: float, accesses_per_s: float,
-                         assoc: int = 8, tech_nm: int = 32) -> float:
-    """Dynamic power at a given access rate."""
-    return sram_read_energy_pj(size_bytes, assoc, tech_nm) * 1e-12 \
-        * accesses_per_s

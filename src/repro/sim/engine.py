@@ -11,11 +11,19 @@ on — see docs/PERFORMANCE.md before touching it.
 The entry itself is the event's handle: ``schedule``/``schedule_at``
 return it and :meth:`Engine.cancel` clears its callback slot, so
 scheduling allocates nothing beyond the entry and its argument tuple.
+
+The heap holds only in-flight work.  A ``schedule_at_batch`` row (a
+whole arrival process) keeps one entry queued at a time, and cancelled
+entries are compacted away once they outnumber the live ones; neither
+changes any entry's ``(time, seq)`` key, so the pop order is the one an
+eager, never-compacted heap would give.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import islice
+from operator import gt
 from typing import Any, Callable, Iterable, Optional
 
 from repro.check.context import NULL_CHECK
@@ -23,8 +31,52 @@ from repro.telemetry.tracer import NULL_TRACER
 
 
 #: A pending event: ``[time, seq, fn, args]``; ``fn`` is None once
-#: cancelled.  Returned by ``schedule``/``schedule_at`` as the handle.
+#: cancelled or fired.  Returned by ``schedule``/``schedule_at`` as the
+#: handle.
 Event = list
+
+#: Compaction threshold (asyncio's rule for its timer heap): once the
+#: heap holds more than this many entries and more than half of them are
+#: cancelled, it is rebuilt from its live entries.
+_MIN_HEAP_TO_COMPACT = 100
+
+
+class _Row:
+    """One ``schedule_at_batch`` row, fed to the heap one entry at a time.
+
+    The row's seqs ``seq0 .. seq0 + len(times) - 1`` are reserved when it
+    is scheduled; entry ``k`` is ``[times[k], seq0 + k, row.fire, ()]``,
+    the key eager insertion would have given it.  Only the next unfired
+    entry is queued: :meth:`fire` pushes entry ``k + 1`` before it runs
+    the callback for entry ``k``.  Times are non-decreasing and seqs
+    increase, so every later entry of the row sorts after the queued one.
+    """
+
+    __slots__ = ("heap", "times", "seq0", "k", "fn", "args", "append_time")
+
+    def __init__(self, heap: list, times: list, seq0: int,
+                 fn: Callable[..., Any], args: tuple,
+                 append_time: bool) -> None:
+        self.heap = heap
+        self.times = times
+        self.seq0 = seq0
+        self.k = 0
+        self.fn = fn
+        self.args = args
+        self.append_time = append_time
+
+    def fire(self) -> None:
+        times = self.times
+        k = self.k
+        t = times[k]
+        k += 1
+        self.k = k
+        if k < len(times):
+            heapq.heappush(self.heap, [times[k], self.seq0 + k, self.fire, ()])
+        if self.append_time:
+            self.fn(*self.args, t)
+        else:
+            self.fn(*self.args)
 
 
 class Engine:
@@ -43,6 +95,8 @@ class Engine:
         self.now: float = 0.0
         self._heap: list = []
         self._seq: int = 0
+        #: Cancelled entries still in ``_heap`` (see :meth:`cancel`).
+        self._cancelled: int = 0
         self.events_processed: int = 0
         #: Estimated events the hybrid fast path avoided simulating
         #: (maintained by :mod:`repro.hybrid`; 0 outside hybrid runs).
@@ -83,31 +137,44 @@ class Engine:
         heapq.heappush(self._heap, ev)
         return ev
 
-    @staticmethod
-    def cancel(ev: Event) -> None:
+    def cancel(self, ev: Event) -> None:
         """Prevent a scheduled event from firing.
 
         Lazy removal: the entry stays queued with its callback slot
-        cleared and is discarded when it surfaces at the head.
-        Cancelling an event that already fired is a no-op.
+        cleared and is discarded when it surfaces at the head.  Once
+        cancelled entries are more than half of a heap of more than
+        :data:`_MIN_HEAP_TO_COMPACT` entries, the heap is rebuilt in
+        place from its live entries.  Cancelling an event that already fired,
+        or was already cancelled, is a no-op.
         """
+        if ev[2] is None:
+            return
         ev[2] = None
+        n = self._cancelled + 1
+        heap = self._heap
+        if n + n > len(heap) > _MIN_HEAP_TO_COMPACT:
+            # In place: run() and every _Row hold this very list.
+            heap[:] = [entry for entry in heap if entry[2] is not None]
+            heapq.heapify(heap)
+            n = 0
+        self._cancelled = n
 
     def schedule_at_batch(self, times: Iterable[float],
                           fn: Callable[..., Any], *args: Any,
                           append_time: bool = False) -> None:
-        """Bulk-schedule ``fn(*args)`` at each ascending timestamp.
+        """Schedule ``fn(*args)`` at each timestamp of a sorted row.
 
-        ``times`` must be non-decreasing and ``>= now`` (validated once at
-        the head, then trusted — callers pass sorted arrival arrays).
-        With ``append_time=True`` each callback receives its own firing
-        time as an extra trailing argument: ``fn(*args, t)``.
+        ``times`` must be non-decreasing and ``>= now``; a descending
+        pair raises ValueError here, at the call.  With
+        ``append_time=True`` each callback receives its own firing time
+        as an extra trailing argument: ``fn(*args, t)``.
 
-        Events get consecutive sequence numbers in iteration order, so the
-        result is byte-identical to a ``schedule_at`` loop; only the
-        per-call overhead (bounds check, attribute traffic) is batched
-        away.  No handles are returned — batch arrivals are never
-        cancelled individually.
+        The events get consecutive sequence numbers in iteration order,
+        reserved now, so they fire exactly as a ``schedule_at`` loop
+        would; but only the next one is queued at a time (see
+        :class:`_Row`), so a long row costs the heap one entry.  No
+        handles are returned — batch arrivals are never cancelled
+        individually.
         """
         times = list(times)
         if not times:
@@ -115,18 +182,16 @@ class Engine:
         if times[0] < self.now:
             raise ValueError(
                 f"cannot schedule in the past: {times[0]} < {self.now}")
+        if any(map(gt, times, islice(times, 1, None))):
+            k = next(k for k in range(1, len(times))
+                     if times[k] < times[k - 1])
+            raise ValueError(
+                f"batch times must be non-decreasing: times[{k}] = "
+                f"{times[k]} < times[{k - 1}] = {times[k - 1]}")
         seq = self._seq
-        heap = self._heap
-        push = heapq.heappush
-        if append_time:
-            for t in times:
-                push(heap, [t, seq, fn, args + (t,)])
-                seq += 1
-        else:
-            for t in times:
-                push(heap, [t, seq, fn, args])
-                seq += 1
-        self._seq = seq
+        self._seq = seq + len(times)
+        row = _Row(self._heap, times, seq, fn, args, append_time)
+        heapq.heappush(self._heap, [times[0], seq, row.fire, ()])
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next pending event, or None when idle."""
@@ -135,6 +200,7 @@ class Engine:
             entry = heap[0]
             if entry[2] is None:
                 heapq.heappop(heap)
+                self._cancelled -= 1
                 continue
             return entry[0]
         return None
@@ -143,9 +209,12 @@ class Engine:
         """Run the next event.  Returns False when the queue is empty."""
         heap = self._heap
         while heap:
-            time, __, fn, args = heapq.heappop(heap)
+            entry = heapq.heappop(heap)
+            time, __, fn, args = entry
             if fn is None:
+                self._cancelled -= 1
                 continue
+            entry[2] = None             # fired: a later cancel is a no-op
             if self.check.enabled:
                 self.check.clock_advance(self.now, time)
             self.now = time
@@ -163,6 +232,8 @@ class Engine:
         Semantics are pinned by tests/test_sim_engine.py: cancelled events
         are skipped without consuming the ``max_events`` budget, and a
         second ``run()`` with an earlier horizon never rewinds the clock.
+        ``heap`` stays valid across callbacks: compaction rebuilds the
+        list in place.
         """
         heap = self._heap
         pop = heapq.heappop
@@ -176,6 +247,7 @@ class Engine:
             fn = entry[2]
             if fn is None:
                 pop(heap)
+                self._cancelled -= 1
                 continue
             t = entry[0]
             if until is not None and t > until:
@@ -187,6 +259,7 @@ class Engine:
                     self.now = until
                 break
             pop(heap)
+            entry[2] = None             # fired: a later cancel is a no-op
             if check_on:
                 check.clock_advance(self.now, t)
             self.now = t
@@ -194,10 +267,3 @@ class Engine:
             fn(*entry[3])
             budget -= 1
 
-    def spawn(self, generator, delay: float = 0.0) -> "Process":
-        """Start a generator-based process (see :mod:`repro.sim.process`)."""
-        from repro.sim.process import Process
-
-        proc = Process(self, generator)
-        self.schedule(delay, proc._advance, None)
-        return proc

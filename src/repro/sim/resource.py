@@ -87,37 +87,3 @@ class Resource:
             return 0.0
         return self.busy_time / (elapsed * self.capacity)
 
-
-class FifoQueue:
-    """An unbounded FIFO with blocking ``get`` for generator processes.
-
-    ``put(item)`` wakes at most one waiting getter.  Used for simple
-    producer/consumer plumbing in tests and examples.
-    """
-
-    def __init__(self, engine, name: str = ""):
-        self.engine = engine
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Callable[[Any], None]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            resume = self._getters.popleft()
-            self.engine.schedule(0.0, resume, item)
-        else:
-            self._items.append(item)
-
-    def get(self):
-        """Waitable for processes: ``item = yield queue.get()``."""
-        from repro.sim.process import Signal
-
-        sig = Signal(name=f"{self.name}.get")
-        if self._items:
-            sig.fire(self.engine, self._items.popleft())
-        else:
-            self._getters.append(lambda item, s=sig: s.fire(self.engine, item))
-        return sig

@@ -3,8 +3,8 @@
 The engine pops events in ``(time, seq)`` order: same-time events fire
 in scheduling order, and cancellation, clock clamping and event budgets
 are pinned below because the simulation's byte-identity contract rides
-on them (see docs/PERFORMANCE.md).  The adversarial test at the end
-replays one schedule on the engine and on a sorted-list reference queue.
+on them (see docs/PERFORMANCE.md).  The adversarial tests at the end
+replay schedules on the engine and on a sorted-list reference queue.
 """
 
 import bisect
@@ -145,6 +145,55 @@ def test_schedule_at_batch_past_time_rejected(eng):
         eng.schedule_at_batch([1.0], lambda t: None, append_time=True)
 
 
+def test_schedule_at_batch_descending_times_rejected(eng):
+    """Rows are fed to the heap lazily, so an unsorted row would fire in
+    the past: it is refused at the call, and nothing is scheduled."""
+    with pytest.raises(ValueError, match=r"times\[3\]"):
+        eng.schedule_at_batch([1.0, 2.0, 2.0, 1.5, 4.0], lambda: None)
+    assert eng.peek_time() is None
+    eng.schedule(0.0, lambda: None)
+    assert eng._heap[0][1] == 0          # no seqs were reserved either
+
+
+def test_schedule_at_batch_row_holds_one_heap_entry(eng):
+    """A batch row keeps only its next entry queued, however long it is."""
+    fired = []
+    rows = [[i * 0.5 for i in range(10_000)],
+            [i * 0.75 for i in range(10_000)]]
+    for r, times in enumerate(rows):
+        eng.schedule_at_batch(times, fired.append, r)
+    eng.schedule(1.0, fired.append, "runtime")
+    assert len(eng._heap) == 3
+    eng.run(until=1234.5)
+    assert len(eng._heap) == 2
+    eng.run()
+    assert len(fired) == 20_001 and eng.events_processed == 20_001
+    assert eng.now == 9_999 * 0.75
+
+
+def test_mass_cancellation_compacts_heap(eng):
+    """Cancelled entries never stay more than half of a large heap, the
+    count of them stays exact, and the survivors fire in order."""
+    fired = []
+    handles = [eng.schedule(float(i % 97), fired.append, i)
+               for i in range(10_000)]
+    for i, ev in enumerate(handles):
+        if i % 10:
+            eng.cancel(ev)
+            eng.cancel(ev)                   # double cancel: a no-op
+            heap_len = len(eng._heap)
+            assert heap_len <= 100 or eng._cancelled <= heap_len // 2
+        if i % 101 == 0:
+            assert eng._cancelled == sum(e[2] is None for e in eng._heap)
+    assert len(eng._heap) < 2_000
+    eng.run()
+    live = [i for i in range(10_000) if i % 10 == 0]
+    assert fired == sorted(live, key=lambda i: (i % 97, i))
+    assert eng._cancelled == 0 and not eng._heap
+    eng.cancel(handles[0])                   # already fired: a no-op
+    assert eng._cancelled == 0
+
+
 def test_max_events_bound(eng):
     fired = []
     for i in range(5):
@@ -217,18 +266,29 @@ class _ReferenceQueue:
     def schedule(self, delay, fn, *args):
         return self.schedule_at(self.now + delay, fn, *args)
 
+    def schedule_at_batch(self, times, fn, *args, append_time=False):
+        for t in times:
+            self.schedule_at(t, fn, *(args + (t,) if append_time else args))
+
     @staticmethod
     def cancel(ev):
         ev.cancelled = True
 
-    def run(self):
-        while self._entries:
-            time, __, ev = self._entries.pop(0)
+    def run(self, until=None, max_events=None):
+        budget = -1 if max_events is None else max_events
+        while self._entries and budget != 0:
+            time, __, ev = self._entries[0]
             if ev.cancelled:
+                self._entries.pop(0)
                 continue
+            if until is not None and time > until:
+                self.now = max(self.now, until)
+                break
+            self._entries.pop(0)
             self.now = time
             self.events_processed += 1
             ev.fn(*ev.args)
+            budget -= 1
 
 
 def test_engine_matches_reference_queue_on_adversarial_schedule():
@@ -261,3 +321,61 @@ def test_engine_matches_reference_queue_on_adversarial_schedule():
     got = drive(Engine())
     assert got == drive(_ReferenceQueue())
     assert got[2] < 800                  # cancelled events were skipped
+
+
+@pytest.mark.parametrize("append_time", [False, True])
+def test_engine_matches_reference_queue_with_batch_rows(append_time):
+    """Batch rows fed lazily, stopping mid-row, event budgets and heap
+    compaction must not change what fires or when: several rows whose
+    timestamps tie with each other and with runtime events, a
+    ``run(until=)`` that stops mid-row, a ``max_events`` budget, then a
+    phase that cancels most of a few thousand timeouts."""
+    import numpy as np
+
+    def drive(eng, after_cancels=lambda eng: None):
+        rng = np.random.default_rng(77)
+        fired = []
+        pending = []
+
+        def fire(tag, t=None):
+            fired.append((eng.now, eng.events_processed, tag, t))
+            if pending and len(fired) % 4 == 0:
+                eng.cancel(pending.pop(len(pending) // 3))
+            if len(fired) % 3 == 0:
+                delay = float(rng.choice([0.0, 0.5, 2.0, 50.0]))
+                pending.append(eng.schedule(delay, fire, ("rt", tag)))
+
+        def timeout(i):
+            fired.append((eng.now, eng.events_processed, "timeout", i))
+
+        # Rows on a 0.5 ns grid (ties across rows and with runtime
+        # events), scheduled between plain schedule_at calls; "post"
+        # takes the seq right after its row, at the row's last time.
+        for r in range(4):
+            pending.append(eng.schedule_at(float(r), fire, ("pre", r)))
+            times = np.sort(rng.integers(0, 240, size=150)) * 0.5
+            eng.schedule_at_batch(times.tolist(), fire, ("row", r),
+                                  append_time=append_time)
+            eng.schedule_at(float(times[-1]), fire, ("post", r))
+        eng.run(until=37.25)                         # stops mid-row
+        marks = [(eng.now, len(fired))]
+        eng.run(max_events=120)
+        marks.append((eng.now, len(fired)))
+        timeouts = [eng.schedule(1_000.0 + i % 13, timeout, i)
+                    for i in range(3_000)]
+        for i, ev in enumerate(timeouts):
+            if i % 8:
+                eng.cancel(ev)
+        after_cancels(eng)
+        eng.run(until=60.0)
+        marks.append((eng.now, len(fired)))
+        eng.run()
+        return fired, marks, eng.now, eng.events_processed
+
+    def heap_was_compacted(eng):
+        assert len(eng._heap) < 1_000        # 3 000 timeouts, 375 live
+        assert eng._cancelled <= len(eng._heap) // 2
+
+    got = drive(Engine(), heap_was_compacted)
+    assert got == drive(_ReferenceQueue())
+    assert sum(1 for f in got[0] if f[2] == "timeout") == 375
