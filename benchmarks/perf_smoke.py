@@ -7,10 +7,11 @@ fault schedule + resilience policy — and records wall-time and p99 into
 against the committed baseline (``--check``, the CI mode).
 
 Absolute wall-times are host-dependent, so the committed gating number
-is the *overhead ratio* (faulted wall / clean wall measured on the same
-host in the same process): CI fails when the measured ratio regresses
-more than ``--tolerance`` (default 25%) over the baseline ratio.  The
-absolute numbers are still recorded for eyeballing, and p99 is checked
+is the *overhead ratio*: the median, over ``OVERHEAD_PAIRS`` back-to-back
+clean/faulted pairs in one process, of each pair's faulted wall / clean
+wall.  CI fails when the measured ratio regresses more than
+``--tolerance`` (default 25%) over the baseline ratio.  The median wall
+of each mode is still recorded for eyeballing, and p99 is checked
 exactly — it is deterministic, so any drift is a behaviour change.
 
 A second leg benchmarks the ``repro.hybrid`` fast path at a longer
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from dataclasses import replace
@@ -59,6 +61,11 @@ RPS = 15_000.0
 DURATION_S = 0.008
 SEED = 11
 REPEATS = 3
+#: Clean/faulted pairs behind the fault-overhead ratio.  Each run is
+#: ~0.1 s, so a ratio of two best-of-3 walls moved by host noise alone
+#: past the gate about once in 10-15 runs; a median of per-pair ratios
+#: does not.
+OVERHEAD_PAIRS = 9
 
 #: The hybrid speedup leg needs a run that outlives detection +
 #: calibration by a healthy margin, so it gets its own duration.
@@ -92,20 +99,21 @@ def _run(faulted: bool):
 
 
 def measure() -> dict:
-    """Best-of-N wall for each mode (p99 is identical across repeats)."""
+    """Median walls and the median per-pair overhead ratio over
+    ``OVERHEAD_PAIRS`` clean/faulted pairs (p99 is identical across
+    repeats)."""
     clean_walls, faulted_walls = [], []
     clean = faulted = None
-    for __ in range(REPEATS):
+    for __ in range(OVERHEAD_PAIRS):
         wall, clean = _run(faulted=False)
         clean_walls.append(wall)
         wall, faulted = _run(faulted=True)
         faulted_walls.append(wall)
-    clean_wall = min(clean_walls)
-    faulted_wall = min(faulted_walls)
+    ratios = [f / c for c, f in zip(clean_walls, faulted_walls)]
     return {
-        "clean_wall_s": round(clean_wall, 4),
-        "faulted_wall_s": round(faulted_wall, 4),
-        "overhead_ratio": round(faulted_wall / clean_wall, 4),
+        "clean_wall_s": round(statistics.median(clean_walls), 4),
+        "faulted_wall_s": round(statistics.median(faulted_walls), 4),
+        "overhead_ratio": round(statistics.median(ratios), 4),
         "clean_p99_us": round(clean.p99_ns / 1e3, 3),
         "faulted_p99_us": round(faulted.p99_ns / 1e3, 3),
         "faulted_completed": faulted.completed,
@@ -343,7 +351,7 @@ def main() -> int:
             "bench": "faults_mid_load_smoke",
             "workload": {"system": CONFIG.name, "n_cores": CONFIG.n_cores,
                          "rps_per_server": RPS, "duration_s": DURATION_S,
-                         "seed": SEED, "repeats": REPEATS},
+                         "seed": SEED, "pairs": OVERHEAD_PAIRS},
             "baseline": measured,
             "tolerance": {"overhead_ratio_regression": args.tolerance},
         }

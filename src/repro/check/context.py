@@ -701,6 +701,12 @@ class CheckContext(NullCheckContext):
                         f"!= {net_led.delivers} delivered + "
                         f"{net_led.inflight_drops} dropped in flight",
                         where="icn")
+                queued = net_led.net.queued_messages()
+                if queued != 0:
+                    self.violation(
+                        "conservation",
+                        f"ICN queue gauge reads {queued} at drain",
+                        where="icn")
 
         if sim is not None:
             self._finalize_sim(sim, drained, purged_anywhere)

@@ -13,7 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.icn.topology import Topology
+from repro.icn.topology import Topology, draw_path
 
 
 class HierarchicalLeafSpine(Topology):
@@ -47,6 +47,11 @@ class HierarchicalLeafSpine(Topology):
         self._leaf_names = [
             self.leaf_name(i // leaves_per_pod, i % leaves_per_pod)
             for i in range(n_pods * leaves_per_pod)]
+        #: ECMP stage node lists: each pod's spines, and the core level.
+        self._pod_spines = [[self.spine_name(pod, s)
+                             for s in range(spines_per_pod)]
+                            for pod in range(n_pods)]
+        self._cores = [self.core_name(c) for c in range(n_core)]
 
     @property
     def n_leaves(self) -> int:
@@ -94,39 +99,23 @@ class HierarchicalLeafSpine(Topology):
             if rng is None:
                 return paths[0]
             return paths[int(rng.integers(len(paths)))]
-        choice = (lambda n: int(rng.integers(n))) if rng is not None else (lambda n: 0)
-        src_pod, __ = self._parse_leaf(src)
-        dst_pod, __ = self._parse_leaf(dst)
-        if src_pod == dst_pod:
-            spine = self.spine_name(src_pod, choice(self.spines_per_pod))
-            return [src, spine, dst]
-        up_spine = self.spine_name(src_pod, choice(self.spines_per_pod))
-        core = self.core_name(choice(self.n_core))
-        down_spine = self.spine_name(dst_pod, choice(self.spines_per_pod))
-        return [src, up_spine, core, down_spine, dst]
+        return draw_path(self._route_plan(src, dst), rng)
 
     def _route_plan(self, src: str, dst: str):
-        """Compiled-ECMP descriptor mirroring :meth:`_route`'s healthy path.
+        """ECMP plan of the healthy route between two distinct leaves.
 
-        Draw order per message is pinned: one ``rng.integers`` for the
-        shared spine intra-pod, or up-spine → core → down-spine for
-        inter-pod — exactly the ``choice`` sequence in ``_route``.
+        One stage, the pod's spines, within a pod; up-spine → core →
+        down-spine between pods.  Draw order per message is the stage
+        order, which pins every RNG stream.
         """
         if src == dst:
             return None
         src_pod, __ = self._parse_leaf(src)
         dst_pod, __ = self._parse_leaf(dst)
         if src_pod == dst_pod:
-            def build_intra(key):
-                return [src, self.spine_name(src_pod, key[0]), dst]
-            return (self.spines_per_pod,), build_intra
-
-        def build_inter(key):
-            return [src, self.spine_name(src_pod, key[0]),
-                    self.core_name(key[1]),
-                    self.spine_name(dst_pod, key[2]), dst]
-        return (self.spines_per_pod, self.n_core, self.spines_per_pod), \
-            build_inter
+            return [src], [self._pod_spines[src_pod]], [dst]
+        return [src], [self._pod_spines[src_pod], self._cores,
+                       self._pod_spines[dst_pod]], [dst]
 
     def equal_cost_paths(self, src: str, dst: str,
                          alive_only: bool = False) -> List[List[str]]:

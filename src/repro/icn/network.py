@@ -39,28 +39,37 @@ class NetworkConfig:
         return size_bytes / self.link_bytes_per_ns
 
 
+class _Link(Resource):
+    """One directed ICN link: a FIFO ``Resource`` that knows its
+    ``edge`` ``(u, v)``, which the mid-flight failure check looks up."""
+
+    def __init__(self, engine: Engine, u: str, v: str, capacity: int):
+        super().__init__(engine, capacity=capacity, name=f"{u}->{v}")
+        self.edge = (u, v)
+
+
 class _Transit:
-    """One in-flight message walking a compiled route's link resources.
+    """One in-flight message walking a tuple of link resources.
 
     The link hop is the unit of work: each hop is one scheduled
     :meth:`hop_done` event and one Python frame, which drives the link
     ``Resource``s directly instead of going through
     ``Resource.acquire``/``_finish``.  Link resources are therefore
     driven only by transits — their queues hold ``(arrival, hop_time,
-    transit)`` waiters — while their counters (``busy``,
-    ``jobs_served``, ``busy_time``, ``wait_time_total``,
-    ``max_queue_len``) and invariant-checker hooks evolve exactly as
-    ``Resource`` would update them.
+    transit)`` waiters, counted in ``Network._queued`` — while their
+    counters (``busy``, ``jobs_served``, ``busy_time``,
+    ``wait_time_total``, ``max_queue_len``) and invariant-checker hooks
+    evolve exactly as ``Resource`` would update them.
     """
 
-    __slots__ = ("net", "route", "hop_time", "sent_at",
+    __slots__ = ("net", "links", "hop_time", "sent_at",
                  "on_delivered", "on_dropped", "idx")
 
-    def __init__(self, net: "Network", route: "_Route", hop_time: float,
+    def __init__(self, net: "Network", links: tuple, hop_time: float,
                  on_delivered: Callable[[], None],
                  on_dropped: Optional[Callable[[], None]]):
         self.net = net
-        self.route = route
+        self.links = links
         self.hop_time = hop_time
         self.sent_at = net.engine.now
         self.on_delivered = on_delivered
@@ -80,10 +89,10 @@ class _Transit:
         net = self.net
         engine = net.engine
         check = engine.check
-        route = self.route
+        links = self.links
         i = self.idx
         if i:
-            freed = route.links[i - 1]
+            freed = links[i - 1]
             freed.busy -= 1
             freed.jobs_served += 1
             freed.busy_time += self.hop_time
@@ -92,28 +101,31 @@ class _Transit:
         else:
             freed = None
 
-        if i >= route.n_hops:
+        if i >= len(links):
             net._deliver(self.sent_at, self.on_delivered)
-        elif net.topology._failed_links and \
-                not net.topology.link_alive(*route.pairs[i]):
-            # The link died while the message was queued upstream.
-            net._drop(self.on_dropped, in_flight=True)
         else:
-            self.idx = i + 1
-            link = route.links[i]
-            if link.busy < link.capacity:
-                link.busy += 1
-                if check.enabled:
-                    check.resource_event(link)
-                engine.schedule(self.hop_time, self.hop_done)
+            link = links[i]
+            topo = net.topology
+            if topo._failed_links and not topo.link_alive(*link.edge):
+                # The link died while the message was queued upstream.
+                net._drop(self.on_dropped, in_flight=True)
             else:
-                queue = link._queue
-                queue.append((engine.now, self.hop_time, self))
-                if len(queue) > link.max_queue_len:
-                    link.max_queue_len = len(queue)
+                self.idx = i + 1
+                if link.busy < link.capacity:
+                    link.busy += 1
+                    if check.enabled:
+                        check.resource_event(link)
+                    engine.schedule(self.hop_time, self.hop_done)
+                else:
+                    queue = link._queue
+                    queue.append((engine.now, self.hop_time, self))
+                    net._queued += 1
+                    if len(queue) > link.max_queue_len:
+                        link.max_queue_len = len(queue)
 
         if freed is not None and freed._queue and freed.busy < freed.capacity:
             arrival, hop_time, waiter = freed._queue.popleft()
+            net._queued -= 1
             freed.busy += 1
             freed.wait_time_total += engine.now - arrival
             if check.enabled:
@@ -121,22 +133,64 @@ class _Transit:
             engine.schedule(hop_time, waiter.hop_done)
 
 
-class _Route:
-    """Per-path compiled hop list: link Resources resolved once.
+class _EcmpPair:
+    """Per-stage link tables of one multi-path endpoint pair.
 
-    Holds a strong reference to the path list it was compiled from.  For
-    the shared, topology-cached lists of a fault-free fabric that keeps
-    the ``id(path)`` lookup key in ``Network._routes`` valid for the
-    network's lifetime; degraded routes are per-message and never cached.
+    Compiled from the topology's ``(head, stages, tail)`` plan
+    (:meth:`Topology.route_entry`): ``head``/``tail`` are the fixed
+    links before the first and after the last stage, ``first[k]`` the
+    link into stage 0's node ``k``, ``mids[j][a][b]`` the link from
+    stage ``j``'s node ``a`` to stage ``j + 1``'s node ``b``, and
+    ``last[k]`` the link out of the final stage's node ``k``.
+    :meth:`links` indexes them with the message's own draws — one
+    ``rng.integers(width)`` per stage, in stage order, the calls
+    :func:`~repro.icn.topology.draw_path` makes — so no per-path object
+    exists and every RNG stream is unchanged.  ``first`` and ``mids``
+    are the network's shared stage tables (:meth:`Network._stage_table`).
     """
 
-    __slots__ = ("path", "links", "pairs", "n_hops")
+    __slots__ = ("head", "widths", "first", "mids", "last", "tail")
 
-    def __init__(self, net: "Network", path: list):
-        self.path = path
-        self.pairs = list(zip(path, path[1:]))
-        self.links = [net._link(u, v) for u, v in self.pairs]
-        self.n_hops = len(self.pairs)
+    def __init__(self, net: "Network", head: list, stages: list,
+                 tail: list):
+        link = net._link
+        table = net._stage_table
+        self.head = _chain(link, head)
+        self.tail = _chain(link, tail)
+        self.widths = tuple(len(stage) for stage in stages)
+        self.first = table(head[-1:], stages[0])[0]
+        self.mids = tuple(table(cur, nxt)
+                          for cur, nxt in zip(stages, stages[1:]))
+        self.last = tuple(link(n, tail[0]) for n in stages[-1])
+
+    def links(self, rng: Optional[np.random.Generator]) -> tuple:
+        """One message's links, from its own per-stage draws."""
+        widths = self.widths
+        if rng is None:
+            ks = [0] * len(widths)
+        else:
+            integers = rng.integers
+            # Unrolled for the two shapes that exist (leaf-spine intra-
+            # and inter-pod); the generic tail keeps any plan correct.
+            if len(widths) == 3:
+                k0 = int(integers(widths[0]))
+                k1 = int(integers(widths[1]))
+                k2 = int(integers(widths[2]))
+                mid0, mid1 = self.mids
+                return self.head + (self.first[k0], mid0[k0][k1],
+                                    mid1[k1][k2], self.last[k2]) + self.tail
+            if len(widths) == 1:
+                k = int(integers(widths[0]))
+                return self.head + (self.first[k], self.last[k]) + self.tail
+            ks = [int(integers(w)) for w in widths]
+        return (self.head + (self.first[ks[0]],)
+                + tuple(mid[a][b] for mid, a, b in zip(self.mids, ks, ks[1:]))
+                + (self.last[ks[-1]],) + self.tail)
+
+
+def _chain(link: Callable[[str, str], Resource], nodes: list) -> tuple:
+    """The links along a node sequence."""
+    return tuple(link(u, v) for u, v in zip(nodes, nodes[1:]))
 
 
 class Network:
@@ -149,16 +203,22 @@ class Network:
         self.topology = topology
         self.config = config or NetworkConfig()
         self.rng = rng
-        self._links: Dict[Tuple[str, str], Resource] = {}
-        #: Compiled routes keyed by ``id(path)`` of the shared path lists
-        #: the topology cache hands out (each _Route pins its path alive,
-        #: so keys cannot be recycled); holds the link Resource list so
-        #: the hot send path skips per-hop dict probes.
-        self._routes: Dict[int, _Route] = {}
+        self._links: Dict[Tuple[str, str], _Link] = {}
+        #: Healthy routes compiled once per ``(src, dst)`` pair on its
+        #: first send: a link tuple for a fixed path, an
+        #: :class:`_EcmpPair` for a multi-path one.  Cleared with the
+        #: topology's route cache.
+        self._pairs: Dict[Tuple[str, str], object] = {}
+        topology._route_dependents.append(self._pairs)
+        #: Stage-to-stage link tables keyed by their node names, shared
+        #: by every pair whose routes cross the same two stages.
+        self._stage_tables: Dict[tuple, tuple] = {}
         #: Exact per-size hop times (``hop_latency_ns + serialization``),
         #: memoized so the hot path recomputes nothing — same float ops
         #: on first use, so values are bit-identical to the uncached code.
         self._hop_times: Dict[int, float] = {}
+        #: Messages waiting in link queues, kept by ``_Transit.hop_done``.
+        self._queued = 0
         self.messages_sent = 0
         self.hops_traversed = 0
         self.total_latency = 0.0
@@ -166,13 +226,48 @@ class Network:
         #: RPC layer's timeouts are what turns these into retries.
         self.messages_dropped = 0
 
-    def _link(self, u: str, v: str) -> Resource:
+    def _link(self, u: str, v: str) -> _Link:
         res = self._links.get((u, v))
         if res is None:
-            res = Resource(self.engine, capacity=self.topology.link_capacity(u, v),
-                           name=f"{u}->{v}")
-            self._links[(u, v)] = res
+            res = self._links[(u, v)] = _Link(
+                self.engine, u, v, self.topology.link_capacity(u, v))
         return res
+
+    def _stage_table(self, us: list, vs: list) -> tuple:
+        """Links from each node of ``us`` to each of ``vs``, as
+        ``table[a][b]``."""
+        key = (tuple(us), tuple(vs))
+        table = self._stage_tables.get(key)
+        if table is None:
+            table = self._stage_tables[key] = tuple(
+                tuple(self._link(a, b) for b in vs) for a in us)
+        return table
+
+    def _compile_pair(self, src: str, dst: str):
+        """Compile and store one pair's healthy route (raises
+        :class:`NoPathError`, storing nothing, when there is none)."""
+        entry = self.topology.route_entry(src, dst)
+        if entry.__class__ is list:
+            pair = _chain(self._link, entry)
+        else:
+            pair = _EcmpPair(self, *entry)
+        self._pairs[(src, dst)] = pair
+        return pair
+
+    def _route_links(self, src: str, dst: str) -> tuple:
+        """This message's links: drawn from the pair table while the
+        fabric is healthy, else from a per-message degraded path that is
+        not stored.  Raises :class:`NoPathError` when there is no route.
+        """
+        topo = self.topology
+        if topo._failed_links:
+            return _chain(self._link, topo.path(src, dst, self.rng))
+        pair = self._pairs.get((src, dst))
+        if pair is None:
+            pair = self._compile_pair(src, dst)
+        if pair.__class__ is tuple:
+            return pair
+        return pair.links(self.rng)
 
     def send(self, src: str, dst: str, size_bytes: int,
              on_delivered: Callable[[], None], rec=None,
@@ -185,23 +280,19 @@ class Network:
         ``on_dropped`` fires if given, otherwise nothing does — callers
         with a delivery guarantee wrap sends in a timeout.
 
-        Every send walks a compiled :class:`_Route` (link Resources
-        resolved once) with one :class:`_Transit` object and the cached
-        per-size hop time.  Fault-free paths are shared topology-cached
-        lists, so their routes are memoized by ``id(path)``; while any
-        link is failed the topology returns a fresh path list per call,
-        so the route is compiled for this message alone and not stored.
-        Either way a mid-flight link failure is caught hop-by-hop.
+        Every send walks a tuple of link Resources (:meth:`_route_links`)
+        with one :class:`_Transit` object and the cached per-size hop
+        time; a mid-flight link failure is caught hop-by-hop.
         """
         engine = self.engine
-        topo = self.topology
         try:
-            path = topo.path(src, dst, self.rng)
+            links = self._route_links(src, dst)
         except NoPathError:
             self._drop(on_dropped)
             return
         self.messages_sent += 1
-        if len(path) < 2:
+        n_hops = len(links)
+        if not n_hops:
             engine.schedule(0.0, on_delivered)
             return
         check = engine.check
@@ -214,7 +305,6 @@ class Network:
             hop_time = self.config.hop_latency_ns + \
                 self.config.serialization_ns(size_bytes)
             self._hop_times[size_bytes] = hop_time
-        n_hops = len(path) - 1
         self.hops_traversed += n_hops
 
         if engine.tracer.enabled:
@@ -232,14 +322,7 @@ class Network:
             engine.schedule(hop_time * n_hops, self._deliver, engine.now,
                             on_delivered)
             return
-
-        if topo._failed_links:
-            route = _Route(self, path)
-        else:
-            route = self._routes.get(id(path))
-            if route is None:
-                route = self._routes[id(path)] = _Route(self, path)
-        _Transit(self, route, hop_time, on_delivered, on_dropped).hop_done()
+        _Transit(self, links, hop_time, on_delivered, on_dropped).hop_done()
 
     def send_fanout(self, sources, dst: str, size_bytes: int,
                     on_each: Callable[[], None], rec=None) -> None:
@@ -268,27 +351,22 @@ class Network:
             hop_time = self.config.hop_latency_ns + \
                 self.config.serialization_ns(size_bytes)
             self._hop_times[size_bytes] = hop_time
-        path_of = topo.path
-        rng = self.rng
-        routes = self._routes
+        route_links = self._route_links
         schedule = engine.schedule
         sent = 0
         hops = 0
         for src in sources:
             try:
-                path = path_of(src, dst, rng)
+                links = route_links(src, dst)
             except NoPathError:
                 self._drop(None)
                 continue
             sent += 1
-            if len(path) < 2:
+            if not links:
                 schedule(0.0, on_each)
                 continue
-            hops += len(path) - 1
-            route = routes.get(id(path))
-            if route is None:
-                route = routes[id(path)] = _Route(self, path)
-            _Transit(self, route, hop_time, on_each, None).hop_done()
+            hops += len(links)
+            _Transit(self, links, hop_time, on_each, None).hop_done()
         # The loop is synchronous (no event runs mid-batch), so the
         # deferred counter flush is observationally identical to the
         # per-send increments.
@@ -314,7 +392,7 @@ class Network:
 
     def queued_messages(self) -> int:
         """Messages currently waiting on busy links (contention gauge)."""
-        return sum(res.queue_length for res in self._links.values())
+        return self._queued
 
     @property
     def mean_latency(self) -> float:

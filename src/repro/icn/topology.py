@@ -30,45 +30,20 @@ class NoPathError(ValueError):
     """No surviving route between two nodes (failure/partition)."""
 
 
-class EcmpRoutePlan:
-    """Compiled multi-path route for one endpoint pair.
+def _dedup(nodes: List[str]) -> List[str]:
+    """Drop consecutive repeats of a node from an assembled route."""
+    return [n for i, n in enumerate(nodes) if i == 0 or n != nodes[i - 1]]
 
-    ``dims`` is the sequence of equal-cost choice widths drawn per
-    message, in draw order; ``build`` maps a drawn index tuple to the
-    final (attachment-resolved, deduplicated) node path.  ``pick``
-    consumes the caller's RNG with exactly the same number and order of
-    ``rng.integers`` calls as the uncompiled routing code, so cached and
-    uncached routing are byte-identical — the determinism contract of
-    docs/PERFORMANCE.md.
-    """
 
-    __slots__ = ("dims", "build", "variants", "_zero")
-
-    def __init__(self, dims, build):
-        self.dims = tuple(dims)
-        self.build = build
-        self.variants: Dict[tuple, List[str]] = {}
-        self._zero = (0,) * len(self.dims)
-
-    def pick(self, rng: Optional[np.random.Generator]) -> List[str]:
-        if rng is None:
-            key = self._zero
-        else:
-            integers = rng.integers
-            dims = self.dims
-            # Unrolled for the two shapes that exist (1- and 3-draw ECMP);
-            # the generic tail keeps arbitrary plans correct.
-            if len(dims) == 1:
-                key = (int(integers(dims[0])),)
-            elif len(dims) == 3:
-                key = (int(integers(dims[0])), int(integers(dims[1])),
-                       int(integers(dims[2])))
-            else:
-                key = tuple(int(integers(n)) for n in dims)
-        path = self.variants.get(key)
-        if path is None:
-            path = self.variants[key] = self.build(key)
-        return path
+def draw_path(plan, rng: Optional[np.random.Generator]) -> List[str]:
+    """One path of an ECMP ``(head, stages, tail)`` plan: one
+    ``rng.integers(len(stage))`` draw per stage, in stage order (index 0
+    everywhere without an RNG)."""
+    head, stages, tail = plan
+    if rng is None:
+        return head + [stage[0] for stage in stages] + tail
+    integers = rng.integers
+    return head + [stage[int(integers(len(stage)))] for stage in stages] + tail
 
 
 class Topology:
@@ -83,11 +58,13 @@ class Topology:
         #: Whether routing recomputes around dead links (see module doc).
         self.adaptive = False
         #: Healthy-path compiled routes, keyed by the (src, dst) pair as
-        #: given to :meth:`path` (attachment names included).  Entries are
-        #: either a shared path list (rng-independent routing) or an
-        #: :class:`EcmpRoutePlan`.  Only consulted when no link is failed;
+        #: given to :meth:`path` (attachment names included); see
+        #: :meth:`route_entry`.  Only consulted when no link is failed;
         #: invalidated by :meth:`add_link` (and therefore :meth:`attach`).
         self._route_cache: Dict[Tuple[str, str], object] = {}
+        #: Tables derived from ``_route_cache`` (each Network's per-pair
+        #: link tables), cleared whenever it is.
+        self._route_dependents: List[dict] = []
 
     @property
     def nodes(self) -> List[str]:
@@ -106,6 +83,8 @@ class Topology:
         if capacity < 1:
             raise ValueError("link capacity must be >= 1")
         self._route_cache.clear()
+        for table in self._route_dependents:
+            table.clear()
         self.add_node(u)
         self.add_node(v)
         if v not in self._adj[u]:
@@ -174,25 +153,39 @@ class Topology:
              ) -> List[str]:
         """Node sequence from src to dst, resolving attached endpoints.
 
-        Fault-free routing is served from a per-pair compiled cache:
-        attachment resolution, route construction, and deduplication run
-        once, after which each call is a dict probe (plus the original
-        per-message ECMP draws — see :class:`EcmpRoutePlan`).  Returned
-        lists are shared; callers must not mutate them.  With failed
-        links present the uncached degraded path below runs instead.
+        Fault-free routing is served from the per-pair compiled cache of
+        :meth:`route_entry`: attachment resolution, route construction
+        and deduplication run once, after which each call is a dict probe
+        plus, for an ECMP pair, one ``rng.integers`` draw per stage in
+        stage order (the RNG calls of the uncompiled ``_route``).  A
+        fixed path is returned as a shared list; callers must not mutate
+        it.  With failed links present the uncached degraded path below
+        runs instead.
         """
         if self._failed_links:
             return self._path_degraded(src, dst, rng)
-        entry = self._route_cache.get((src, dst))
-        if entry is None:
-            entry = self._compile_route(src, dst)
-            self._route_cache[(src, dst)] = entry
+        entry = self.route_entry(src, dst)
         if entry.__class__ is list:
             return entry
-        return entry.pick(rng)
+        return draw_path(entry, rng)
+
+    def route_entry(self, src: str, dst: str):
+        """The healthy route of one endpoint pair, compiled once.
+
+        Either a fixed node list (rng-independent routing), or an ECMP
+        plan ``(head, stages, tail)``: the fixed nodes before the first
+        choice, one list of equal-cost nodes per stage (one draw each, in
+        order), and the fixed nodes after the last.  Raises
+        :class:`NoPathError` (uncached) when the pair is disconnected.
+        """
+        entry = self._route_cache.get((src, dst))
+        if entry is None:
+            entry = self._route_cache[(src, dst)] = \
+                self._compile_route(src, dst)
+        return entry
 
     def _compile_route(self, src: str, dst: str):
-        """Build the healthy-path cache entry for one endpoint pair."""
+        """Build the :meth:`route_entry` value for one endpoint pair."""
         prefix: List[str] = []
         suffix: List[str] = []
         s, d = src, dst
@@ -202,23 +195,20 @@ class Topology:
         if d in self._attachments:
             suffix = [dst]
             d = self._attachments[dst]
-
-        def assemble(route: List[str]) -> List[str]:
-            full = prefix + route + suffix
-            return [n for i, n in enumerate(full) if i == 0 or n != full[i - 1]]
-
         plan = self._route_plan(s, d)
         if plan is None:
-            return assemble(self._route(s, d, None))
-        dims, build = plan
-        return EcmpRoutePlan(dims, lambda key: assemble(build(key)))
+            return _dedup(prefix + self._route(s, d, None) + suffix)
+        head, stages, tail = plan
+        return _dedup(prefix + head), stages, _dedup(tail + suffix)
 
     def _route_plan(self, src: str, dst: str):
         """Describe the healthy route's RNG draws for compilation.
 
         Returns ``None`` when ``_route`` ignores the RNG (the route is a
         single fixed path — BFS, XY mesh, fat-tree up/down), or a
-        ``(dims, build)`` pair replicating the draw sequence.  Any
+        ``(head, stages, tail)`` plan (see :meth:`route_entry`) whose
+        per-stage draws replicate ``_route``'s.  Stage nodes never equal
+        their neighbours, so only head and tail need deduplication.  Any
         subclass whose ``_route`` consumes the RNG on the fault-free path
         MUST override this to match its draws exactly, or healthy routing
         through the cache would change RNG stream consumption.
@@ -236,8 +226,7 @@ class Topology:
         if dst in self._attachments:
             suffix = [dst]
             dst = self._attachments[dst]
-        full = prefix + self._route(src, dst, rng) + suffix
-        full = [n for i, n in enumerate(full) if i == 0 or n != full[i - 1]]
+        full = _dedup(prefix + self._route(src, dst, rng) + suffix)
         if self._failed_links and not self._path_alive(full):
             if not self.adaptive:
                 raise NoPathError(
@@ -246,8 +235,7 @@ class Topology:
             # Adaptive fabric: recompute over the surviving links.  The
             # endpoint attachment hops are fixed wires — if one of those
             # died, no amount of rerouting helps.
-            full = prefix + self.shortest_path(src, dst) + suffix
-            full = [n for i, n in enumerate(full) if i == 0 or n != full[i - 1]]
+            full = _dedup(prefix + self.shortest_path(src, dst) + suffix)
             if not self._path_alive(full):
                 raise NoPathError(
                     f"endpoint link of {full[0]} -> {full[-1]} is down")

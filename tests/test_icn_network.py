@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.icn import HierarchicalLeafSpine, Mesh2D, Network, NetworkConfig
+from repro.icn import (FatTree, HierarchicalLeafSpine, Mesh2D, Network,
+                       NetworkConfig)
 from repro.sim import Engine, Resource
 
 
@@ -179,17 +180,18 @@ def test_traced_degraded_sends_emit_one_icn_hop_span_each():
 def test_degraded_sends_do_not_grow_the_route_cache():
     eng, topo, net, src, dst = degraded_leafspine()
     topo.recover_link(src, topo.spine_name(0, 0))
-    net.send(src, dst, 64, lambda: None)        # healthy: compiled + cached
+    net.send(src, dst, 64, lambda: None)        # healthy: compiled + stored
     eng.run()
-    cached = len(net._routes)
-    assert cached == 1
+    pairs, routes = dict(net._pairs), dict(topo._route_cache)
+    assert list(pairs) == [(src, dst)]
     topo.fail_link(src, topo.spine_name(0, 0))
     delivered = []
     for __ in range(1000):
         net.send(src, dst, 64, lambda: delivered.append(1))
+        net.send(dst, src, 64, lambda: delivered.append(1))   # never healthy
     eng.run()
-    assert len(net._routes) == cached
-    assert len(delivered) == 1000 and net.messages_dropped == 0
+    assert net._pairs == pairs and topo._route_cache == routes
+    assert len(delivered) == 2000 and net.messages_dropped == 0
 
 
 # ------------------------------------ hop fast path vs a plain-Resource walker
@@ -304,3 +306,221 @@ def test_hop_fast_path_matches_plain_resource_walker(checked):
     assert sum(r.wait_time_total for r in net._links.values()) > 0
     if checked:
         assert eng.check.finalize() == []
+
+
+# ----------------------------------------- per-pair route tables vs the topology
+
+
+def _record_transits(monkeypatch):
+    """Log the link tuple of every routed message the network sends."""
+    from repro.icn import network as network_mod
+
+    sent = []
+
+    class Recording(network_mod._Transit):
+        __slots__ = ()
+
+        def __init__(self, net, links, *args):
+            sent.append(links)
+            super().__init__(net, links, *args)
+
+    monkeypatch.setattr(network_mod, "_Transit", Recording)
+    return sent
+
+
+def _leafspine_fabric():
+    """Two pods of two leaves; two villages on each leaf of pod 0 and
+    one on each leaf of pod 1, so pairs are intra- and inter-pod,
+    village-attached and bare-leaf at either end."""
+    topo = HierarchicalLeafSpine(n_pods=2, leaves_per_pod=2,
+                                 spines_per_pod=3, n_core=4)
+    leaves = [topo.leaf(i) for i in range(topo.n_leaves)]
+    villages = []
+    for i, leaf in enumerate(leaves):
+        for j in range(2 if i < 2 else 1):
+            villages.append(f"vil{i}.{j}")
+            topo.attach(villages[-1], leaf, capacity=2)
+    return topo, leaves + villages
+
+
+def _fattree_fabric():
+    topo = FatTree(n_leaves=8)
+    topo.attach("nic", topo.leaf(3))
+    return topo, [topo.leaf(i) for i in range(8)] + ["nic"]
+
+
+def _mesh_fabric():
+    topo = Mesh2D(3, 3)
+    topo.attach_at("nic", 0, 1)
+    return topo, [topo.tile(x, y) for x in range(3) for y in range(3)] + ["nic"]
+
+
+@pytest.mark.parametrize("fabric", [_leafspine_fabric, _fattree_fabric,
+                                    _mesh_fabric])
+@pytest.mark.parametrize("seeded", [True, False])
+def test_route_tables_match_topology_paths(monkeypatch, fabric, seeded):
+    """Every message's links are the links of ``Topology.path`` drawn
+    from a twin generator, and both generators end in the same state:
+    the pair tables consume each draw ``path`` would, in the same order."""
+    sent = _record_transits(monkeypatch)
+    topo, endpoints = fabric()
+    eng = Engine()
+    net = Network(eng, topo, NetworkConfig(),
+                  rng=np.random.default_rng(9) if seeded else None)
+    pick = np.random.default_rng(4)
+    stream = []
+    for i in range(1500):
+        dst = endpoints[int(pick.integers(len(endpoints)))]
+        if i % 5 == 0:
+            srcs = [endpoints[int(pick.integers(len(endpoints)))]
+                    for __ in range(4)]
+            net.send_fanout(iter(srcs), dst, 256, lambda: None)
+        else:
+            srcs = [endpoints[int(pick.integers(len(endpoints)))]]
+            net.send(srcs[0], dst, 256, lambda: None)
+        stream += [(src, dst) for src in srcs]
+        if i % 100 == 0:
+            eng.run()
+    eng.run()
+
+    twin = np.random.default_rng(9) if seeded else None
+    want = []
+    for src, dst in stream:
+        path = topo.path(src, dst, twin)
+        if len(path) > 1:
+            want.append([net._links[e] for e in zip(path, path[1:])])
+    assert [list(links) for links in sent] == want
+    assert len(sent) > 1000
+    assert len(net._pairs) == len(set(stream))
+    if seeded:
+        assert net.rng.bit_generator.state == twin.bit_generator.state
+        if fabric is _leafspine_fabric:      # every stage choice was used
+            assert len({tuple(links) for links in sent}) > 200
+
+
+def test_route_tables_hold_one_entry_per_pair_and_no_variants():
+    """20 000 sends on a uManycore-128 leaf-spine (4 pods, 2 leaves per
+    pod, 16 villages) compile one entry per endpoint pair and retain no
+    per-path object: the live objects after the sends drain are the
+    ones that lived before."""
+    import gc
+    from dataclasses import replace
+
+    from repro.systems.cluster import ClusterSimulation
+    from repro.systems.configs import UMANYCORE
+    from repro.workloads.deathstar import deathstar_app
+
+    sim = ClusterSimulation(replace(UMANYCORE, n_cores=128, n_clusters=8),
+                            deathstar_app("Text"), rps_per_server=1000.0,
+                            n_servers=1, duration_s=0.001, seed=3)
+    server = sim.servers[0]
+    eng, net, topo = sim.engine, server.network, server.topology
+    assert isinstance(topo, HierarchicalLeafSpine) and topo.n_pods == 4
+    endpoints = [topo.leaf(c) for c in range(8)] + server._village_nodes
+    assert len(endpoints) == 24
+    pairs = [(a, b) for a in endpoints for b in endpoints]
+    for src, dst in pairs:                        # compile every pair
+        net.send(src, dst, 512, lambda: None)
+    eng.run()
+    assert len(net._pairs) == len(pairs)
+    links = len(net._links)
+
+    pick = np.random.default_rng(1)
+    gc.collect()
+    before = len(gc.get_objects())
+    for k in range(20_000):
+        src, dst = pairs[int(pick.integers(len(pairs)))]
+        net.send(src, dst, 512, lambda: None)
+        if k % 500 == 499:
+            eng.run()
+    eng.run()
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert len(net._pairs) == len(pairs) and len(net._links) == links
+    assert net.messages_sent == len(pairs) + 20_000
+    # Per-path objects would leave a few container objects behind for
+    # each of the thousands of distinct ECMP paths drawn.
+    assert grown < 100, grown
+
+
+def test_adding_a_link_recompiles_the_pair_tables():
+    eng = Engine()
+    topo = line_topology(3)
+    net = Network(eng, topo, NetworkConfig())
+    net.send("n0", "n2", 64, lambda: None)
+    eng.run()
+    assert net.hops_traversed == 2 and list(net._pairs) == [("n0", "n2")]
+    topo.add_link("n0", "n2")                    # a shortcut appears
+    assert net._pairs == {} and topo._route_cache == {}
+    net.send("n0", "n2", 64, lambda: None)
+    eng.run()
+    assert net.hops_traversed == 3 and net._links[("n0", "n2")].jobs_served == 1
+
+
+# ------------------------------------------------------ O(1) queue gauge
+
+
+def _queued_by_scan(net):
+    return sum(len(link._queue) for link in net._links.values())
+
+
+@pytest.mark.parametrize("checked", [False, True])
+def test_queue_gauge_matches_link_queues_between_events(checked):
+    """The running queue count equals a scan of every link queue after
+    every event of a contended run with fan-in bursts, a link that
+    fails and recovers under queued messages, and in-flight drops; at
+    drain it is 0 (checked by CheckContext too)."""
+    from repro.check.context import CheckContext
+
+    topo, endpoints = _leafspine_fabric()
+    leaves = [topo.leaf(i) for i in range(topo.n_leaves)]
+    eng = Engine()
+    if checked:
+        eng.check = CheckContext()
+    net = Network(eng, topo, NetworkConfig(hop_cycles=2, freq_ghz=1.0,
+                                           link_bytes_per_ns=8.0),
+                  rng=np.random.default_rng(2))
+    pick = np.random.default_rng(6)
+    dropped = []
+    for i in range(300):
+        t = float(pick.integers(0, 2000))
+        dst = endpoints[int(pick.integers(len(endpoints)))]
+        if i % 3 == 0:
+            eng.schedule_at(t, net.send_fanout, iter(leaves * 2), dst, 512,
+                            lambda: None)
+        else:
+            src = endpoints[int(pick.integers(len(endpoints)))]
+            eng.schedule_at(t, net.send, src, dst, 512, lambda: None, None,
+                            lambda: dropped.append(eng.now))
+    # A spine uplink and a village port die while messages queue on the
+    # way to them, then come back.
+    spine = topo.spine_name(0, 1)
+    eng.schedule_at(500.0, topo.fail_link, leaves[0], spine)
+    eng.schedule_at(700.0, topo.fail_link, leaves[1], "vil1.0")
+    eng.schedule_at(900.0, topo.recover_link, leaves[0], spine)
+    eng.schedule_at(1100.0, topo.recover_link, leaves[1], "vil1.0")
+
+    samples = []
+    while eng.step():
+        samples.append((net.queued_messages(), _queued_by_scan(net)))
+    assert all(count == scan for count, scan in samples)
+    assert max(count for count, __ in samples) > 20
+    assert samples[-1] == (0, 0) and net.queued_messages() == 0
+    assert dropped and net.messages_dropped >= len(dropped)
+    if checked:
+        ledger = eng.check._net(net)
+        assert ledger.inflight_drops > 0
+        assert eng.check.finalize() == []
+
+
+def test_check_flags_a_queue_gauge_left_nonzero_at_drain():
+    from repro.check.context import CheckContext
+
+    eng = Engine()
+    eng.check = CheckContext()
+    net = Network(eng, line_topology(3), NetworkConfig())
+    for __ in range(3):
+        net.send("n0", "n2", 64, lambda: None)
+    eng.run()
+    net._queued += 1
+    assert [v.category for v in eng.check.finalize()] == ["conservation"]
