@@ -1,10 +1,9 @@
 """Ablation benchmarks for design choices DESIGN.md calls out.
 
 These are not paper figures; they probe the design space around the
-paper's choices: FCFS vs SRPT dequeue (Section 4.3's discussion), the
-partitioned RQ_Map design (Section 4.3's "more advanced design"),
-heterogeneous villages and core borrowing (Section 8), and arrival
-burstiness (the Figure 2 motivation).
+paper's choices: FCFS vs SRPT dequeue (Section 4.3's discussion),
+heterogeneous villages (Section 8), snapshot auto-scaling (Section 4.1),
+work stealing, and arrival burstiness (the Figure 2 motivation).
 """
 
 import dataclasses

@@ -109,9 +109,6 @@ class NullCheckContext:
         """A resource started or finished a job."""
 
     # --- RPC / requests
-    def message_created(self, msg) -> None:
-        """An RPC :class:`~repro.net.rpc.Message` was allocated."""
-
     def request_created(self, rec) -> None:
         """A request record (root or child RPC) was created."""
 
@@ -240,8 +237,6 @@ class CheckContext(NullCheckContext):
         self._roots_offered = 0
         self._roots_done: Dict[str, int] = {}
         self._faults_applied = 0
-        self._msg_count = 0
-        self._last_msg_id = -1
         self._nic_rejects = 0
         self._steals_seen = 0
         self._bypasses_seen = 0
@@ -540,19 +535,6 @@ class CheckContext(NullCheckContext):
                 where=res.name, time_ns=res.engine.now)
 
     # --------------------------------------------------------------- RPC
-
-    def message_created(self, msg) -> None:
-        self.stats.checks += 1
-        self._msg_count += 1
-        if msg.size_bytes <= 0:
-            self.violation("rpc", f"message {msg.msg_id} has non-positive "
-                           f"size {msg.size_bytes}")
-        if msg.msg_id is not None:
-            if msg.msg_id <= self._last_msg_id:
-                self.violation(
-                    "rpc", f"message id {msg.msg_id} not monotonically "
-                    f"increasing (last {self._last_msg_id})")
-            self._last_msg_id = msg.msg_id
 
     def request_created(self, rec) -> None:
         self.stats.checks += 1

@@ -18,14 +18,12 @@ from repro.core.context_switch import (
 )
 from repro.core.request import RequestRecord, RequestStatus
 from repro.core.request_queue import RequestQueue
-from repro.core.rq_map import PartitionedRequestQueue
 from repro.core.village import Village
 
 __all__ = [
     "RequestRecord",
     "RequestStatus",
     "RequestQueue",
-    "PartitionedRequestQueue",
     "Village",
     "ContextSwitchConfig",
     "SchedulerDomain",

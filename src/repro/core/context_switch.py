@@ -111,17 +111,6 @@ class SchedulerDomain:
         self._op_ns = config.scheduler_op_cycles / freq_ghz
         self._jitter_on = rng is not None and config.jitter_prob > 0
 
-    def _ns(self, cycles: float) -> float:
-        return cycles / self.freq_ghz
-
-    @property
-    def save_ns(self) -> float:
-        return self._save_ns
-
-    @property
-    def restore_ns(self) -> float:
-        return self._restore_ns
-
     def _traced(self, done: Callable[[], None], op: str,
                 rec) -> Callable[[], None]:
         """Wrap ``done`` in a ``context_switch`` span (queueing on a

@@ -7,8 +7,8 @@ service id, and a pointer into the Request Context Memory (here: the
 Semantics implemented faithfully:
 
 * ``enqueue`` appends at the tail; fails when the buffer is full.
-* ``dequeue(service)`` atomically returns the READY entry *closest to the
-  head* whose service matches (FCFS), marking it running.
+* ``dequeue`` atomically returns the READY entry *closest to the head*
+  (FCFS), marking it running.
 * ``complete`` marks an entry finished and, when it is at the head,
   advances the head past consecutive finished entries.  Finished entries
   not at the head keep occupying their slot until the head passes them —
@@ -59,11 +59,6 @@ class RequestQueue:
         # and its Request Context Memory).  Entries stamped with an older
         # epoch are stale — late wakeups/completions for them are ignored.
         self.epoch = 0
-
-    def set_clock(self, clock) -> None:
-        """Attach a time source for RQ-wait accounting."""
-        self.clock = clock
-        self.check = getattr(clock, "check", NULL_CHECK)
 
     def _stamp_ready(self, rec: RequestRecord) -> None:
         if self.clock is not None:
@@ -127,52 +122,26 @@ class RequestQueue:
         if self.check.enabled:
             self.check.rq_admit(self, rec, soft=True)
 
-    def dequeue(self, service: Optional[str] = None) -> Optional[RequestRecord]:
-        """Highest-priority READY entry matching ``service`` (None = any)."""
-        if service is None:
-            while self._ready_heap:
-                __, __id, rec = self._ready_heap[0]
-                if rec.status is not RequestStatus.READY:
-                    heapq.heappop(self._ready_heap)   # stale entry
-                    continue
-                heapq.heappop(self._ready_heap)
-                return self._dequeued(rec)
-            return None
-        # Service-filtered dequeue (co-located services): pick the
-        # highest-priority matching READY entry from the index, which —
-        # unlike a circular-buffer slot scan — also sees soft
-        # (NIC-buffered) entries, so co-located child RPCs cannot
-        # starve.  The heap entry stays behind for lazy invalidation.
-        best = None
-        for key, req_id, rec in self._ready_heap:
-            if rec.status is not RequestStatus.READY \
-                    or rec.service != service:
-                continue
-            if best is None or (key, req_id) < best[0]:
-                best = ((key, req_id), rec)
-        if best is None:
-            return None
-        return self._dequeued(best[1])
+    def dequeue(self) -> Optional[RequestRecord]:
+        """Highest-priority READY entry (None when there is none)."""
+        while self._ready_heap:
+            __, __id, rec = heapq.heappop(self._ready_heap)
+            if rec.status is not RequestStatus.READY:
+                continue                              # stale entry
+            rec.status = RequestStatus.RUNNING
+            self._account_dequeue(rec)
+            if self.check.enabled:
+                self.check.rq_dequeue(self, rec)
+            return rec
+        return None
 
-    def _dequeued(self, rec: RequestRecord) -> RequestRecord:
-        rec.status = RequestStatus.RUNNING
-        self._account_dequeue(rec)
-        if self.check.enabled:
-            self.check.rq_dequeue(self, rec)
-        return rec
-
-    def has_ready(self, service: Optional[str] = None) -> bool:
+    def has_ready(self) -> bool:
         """The per-core Work flag: is there anything to dequeue?"""
-        if service is None:
-            while self._ready_heap:
-                if self._ready_heap[0][2].status is RequestStatus.READY:
-                    return True
-                heapq.heappop(self._ready_heap)
-            return False
-        # Same index walk as the filtered dequeue: soft entries count.
-        return any(rec.status is RequestStatus.READY
-                   and rec.service == service
-                   for __, __id, rec in self._ready_heap)
+        while self._ready_heap:
+            if self._ready_heap[0][2].status is RequestStatus.READY:
+                return True
+            heapq.heappop(self._ready_heap)
+        return False
 
     def mark_blocked(self, rec: RequestRecord) -> None:
         rec.status = RequestStatus.BLOCKED

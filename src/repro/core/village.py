@@ -33,7 +33,6 @@ class Core:
 
     core_id: int
     village_id: int
-    service: Optional[str] = None       # partitioned-service assignment
     busy: bool = False
     requests_run: int = 0
     busy_ns: float = 0.0
@@ -49,8 +48,6 @@ class Village:
                  steal_from: Optional[List["Village"]] = None,
                  steal_overhead_ns: float = 0.0,
                  rq_policy: Optional[object] = None,
-                 rq: Optional[object] = None,
-                 core_borrowing: bool = False,
                  steal_policy: Optional[object] = None,
                  core_bypass: bool = False,
                  name: str = ""):
@@ -61,15 +58,9 @@ class Village:
         self.scheduler = scheduler
         self.executor = executor
         self.name = name or f"village{village_id}"
-        # ``rq`` lets callers install a PartitionedRequestQueue (the
-        # Section 4.3 RQ_Map design) instead of the default shared RQ.
-        self.rq = rq if rq is not None else RequestQueue(
-            rq_capacity, name=f"{self.name}.rq", policy=rq_policy)
-        if hasattr(self.rq, "set_clock"):
-            self.rq.set_clock(engine)   # RQ-wait stamping for telemetry
-        #: Section 8: a co-located instance may temporarily borrow cores
-        #: assigned to another instance when its own queue backs up.
-        self.core_borrowing = core_borrowing
+        # The engine is the RQ's clock, for RQ-wait stamping.
+        self.rq = RequestQueue(rq_capacity, name=f"{self.name}.rq",
+                               policy=rq_policy, clock=engine)
         #: nanoPU-style fast path: an arriving request may skip the
         #: queue/scheduler machinery and start on an idle core at once
         #: (it still takes an RQ slot, so conservation is untouched).
@@ -87,12 +78,8 @@ class Village:
         self.steal_policy = steal_policy
         self.steal_overhead_ns = steal_overhead_ns
         # Measured-service-time feedback for the dequeue policy (SJF):
-        # the RQ (or its policy) may expose ``observe(service, ns)``.
-        observe = getattr(self.rq, "observe", None)
-        if observe is None:
-            observe = getattr(getattr(self.rq, "policy", None),
-                              "observe", None)
-        self._observe_segment = observe
+        # the policy may expose ``observe(service, ns)``.
+        self._observe_segment = getattr(self.rq.policy, "observe", None)
         #: Service-time tap of the hybrid fast path (repro.hybrid); None
         #: outside hybrid runs so the hot path pays one attribute load.
         self.hybrid_observe = None
@@ -187,27 +174,26 @@ class Village:
         dequeued, so every queue/conservation invariant holds unchanged;
         what it skips is the scheduler op (queueing + jitter on software
         schedulers) between enqueue and first execution.  Requires an
-        idle core that may serve the request's service AND no older
-        READY work that core should take first (no queue jumping) AND a
-        free slot; otherwise the caller falls back to normal dispatch.
+        idle core AND no older READY work that core should take first
+        (no queue jumping) AND a free slot; otherwise the caller falls
+        back to normal dispatch.
         """
         if self.rq.is_full:
             return False
         core = None
         for c in self.cores:
-            if not c.busy and not c.failed and \
-                    (c.service is None or c.service == rec.service):
+            if not c.busy and not c.failed:
                 core = c
                 break
         if core is None:
             return False
-        if self.rq.has_ready(core.service):
+        if self.rq.has_ready():
             return False
         self.rq.enqueue(rec)            # cannot fail: is_full was checked
         rec.village = self.village_id
         rec._owner_village = self
         rec._enqueue_ns = self.engine.now
-        got = self.rq.dequeue(core.service)
+        got = self.rq.dequeue()
         if got is not rec:              # pragma: no cover - invariant
             raise RuntimeError("core bypass dequeued a different entry")
         core.busy = True
@@ -232,19 +218,15 @@ class Village:
             return
         for core in self.cores:
             if not core.busy and not core.failed:
-                dispatched = self._try_dispatch(core)
-                # An unpartitioned core failing to dequeue means the RQ
-                # has no ready work for anyone — stop scanning cores.
-                if not dispatched and core.service is None:
+                # A core failing to dequeue means the RQ has no ready
+                # work for anyone — stop scanning cores.
+                if not self._try_dispatch(core):
                     break
 
     def _try_dispatch(self, core: Core) -> bool:
         if core.busy or core.failed or self.failed:
             return False
-        rec = self.rq.dequeue(core.service)
-        if rec is None and core.service is not None and self.core_borrowing:
-            # The core's own service is idle: serve a co-located one.
-            rec = self.rq.dequeue(None)
+        rec = self.rq.dequeue()
         if rec is None and self.steal_from:
             rec = self.steal_policy.steal(self, core)
             if rec is not None:

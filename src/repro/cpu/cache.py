@@ -31,10 +31,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
 
-    @property
-    def miss_rate(self) -> float:
-        return 1.0 - self.hit_rate if self.accesses else 0.0
-
     def mpki(self, instructions: int) -> float:
         """Misses per kilo-instruction given the run's instruction count."""
         if instructions <= 0:

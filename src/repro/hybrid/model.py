@@ -101,9 +101,6 @@ class MGkModel:
         wq_mmk = pw * self.service_ns / (self.servers * (1.0 - rho))
         return (self.ca2 + self.cs2) / 2.0 * wq_mmk
 
-    def mean_response_ns(self) -> float:
-        return self.mean_wait_ns() + self.service_ns
-
     def as_dict(self) -> dict:
         return {
             "rate_rps": self.rate_rps,

@@ -132,9 +132,6 @@ class Topology:
         failed = self._failed_links
         return not any((u, v) in failed for u, v in zip(path, path[1:]))
 
-    def neighbors(self, node: str) -> List[str]:
-        return self._adj[node]
-
     def attach(self, name: str, node: str, capacity: int = 1) -> None:
         """Attach an endpoint (NIC, village port) to a switch node.
 
@@ -145,9 +142,6 @@ class Topology:
             raise KeyError(f"cannot attach {name!r}: unknown node {node!r}")
         self.add_link(name, node, capacity=capacity)
         self._attachments[name] = node
-
-    def attachment_point(self, name: str) -> str:
-        return self._attachments[name]
 
     def path(self, src: str, dst: str, rng: Optional[np.random.Generator] = None
              ) -> List[str]:
@@ -277,6 +271,3 @@ class Topology:
     def validate_path(self, path: List[str]) -> bool:
         """True when every consecutive pair is an existing link."""
         return all(self.has_link(u, v) for u, v in zip(path, path[1:]))
-
-    def hop_count(self, src: str, dst: str) -> int:
-        return len(self.shortest_path(src, dst)) - 1

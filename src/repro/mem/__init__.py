@@ -1,12 +1,9 @@
-"""Memory substrate: DRAM timing, SRAM memory pools, footprint models."""
+"""Memory substrate: SRAM memory pools and footprint models."""
 
-from repro.mem.dram import Dram, DramConfig
 from repro.mem.footprint import FootprintModel, SharingReport, sharing
 from repro.mem.mempool import MemoryPool, MemoryPoolConfig
 
 __all__ = [
-    "Dram",
-    "DramConfig",
     "MemoryPool",
     "MemoryPoolConfig",
     "FootprintModel",

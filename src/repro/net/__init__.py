@@ -1,12 +1,9 @@
-"""NICs, RPC messaging, and the inter-server fabric."""
+"""NICs and the inter-server fabric."""
 
 from repro.net.fabric import InterServerFabric, FabricConfig, StorageBackend
 from repro.net.nic import LNic, NicConfig, RNic, TopLevelNic
-from repro.net.rpc import Message, MessageKind
 
 __all__ = [
-    "Message",
-    "MessageKind",
     "LNic",
     "RNic",
     "TopLevelNic",

@@ -178,10 +178,6 @@ class TopLevelNic:
     def village_healthy(self, village: int) -> bool:
         return village not in self._down
 
-    def healthy_villages(self, service: str) -> List[int]:
-        return [v for v in self._service_map.get(service, [])
-                if v not in self._down]
-
     def pick_village(self, service: str,
                      exclude: Optional[int] = None) -> int:
         """Pick a hosting village via the configured dispatch policy

@@ -22,11 +22,11 @@ class StealPolicy:
     name = "base"
 
     def steal(self, village, core) -> Optional[object]:
-        """Take one READY entry runnable on ``core`` from a peer.
+        """Take one READY entry from a peer for ``core`` to run.
 
         Returns:
             The dequeued record (still owned by its home RQ), or None
-            when no peer has matching ready work.
+            when no peer has ready work.
         """
         raise NotImplementedError
 
@@ -39,7 +39,7 @@ class FirstPeerSteal(StealPolicy):
 
     def steal(self, village, core) -> Optional[object]:
         for other in village.steal_from:
-            rec = other.rq.dequeue(core.service)
+            rec = other.rq.dequeue()
             if rec is not None:
                 return rec
         return None
@@ -51,9 +51,8 @@ class MaxLoadSteal(StealPolicy):
     Peers are ranked by RQ backlog (slot + soft entries); the deepest
     queue is raided first, which levels load instead of repeatedly
     draining whichever peer happens to sit first in the list.  Ties
-    keep peer-list order.  A victim whose backlog is all non-matching
-    (other services, blocked entries) yields None and the next-deepest
-    peer is tried.
+    keep peer-list order.  A victim whose backlog is all blocked
+    entries yields None and the next-deepest peer is tried.
     """
 
     name = "maxload"
@@ -61,7 +60,7 @@ class MaxLoadSteal(StealPolicy):
     @staticmethod
     def _backlog(village) -> int:
         rq = village.rq
-        return rq.occupancy + getattr(rq, "soft_entries", 0)
+        return rq.occupancy + rq.soft_entries
 
     def steal(self, village, core) -> Optional[object]:
         peers = village.steal_from
@@ -71,7 +70,7 @@ class MaxLoadSteal(StealPolicy):
             other = peers[i]
             if self._backlog(other) == 0:
                 break              # remaining peers are empty too
-            rec = other.rq.dequeue(core.service)
+            rec = other.rq.dequeue()
             if rec is not None:
                 return rec
         return None

@@ -108,14 +108,6 @@ class Engine:
         #: Invariant sanitizer hook (:mod:`repro.check`), same pattern:
         #: the default no-op context keeps checking off the hot path.
         self.check = NULL_CHECK
-        self._msg_ids: int = 0
-
-    def next_msg_id(self) -> int:
-        """Allocate a run-local message id (deterministic per engine,
-        unlike a module-level counter shared across runs in a process)."""
-        mid = self._msg_ids
-        self._msg_ids += 1
-        return mid
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` ns from now."""

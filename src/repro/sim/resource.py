@@ -2,8 +2,8 @@
 
 :class:`Resource` models a server (or ``capacity`` identical servers) that
 serves jobs one at a time; contention appears as queueing delay.  It is the
-building block for ICN links/routers, DRAM channels, software scheduler
-cores and NIC serialization points.
+building block for ICN links/routers, software scheduler cores and NIC
+serialization points.
 """
 
 from __future__ import annotations

@@ -233,8 +233,8 @@ class Server:
         return self._village_clusters[v]
 
     def _place_services(self) -> None:
-        """Spread service instances over villages; partition cores when
-        services must share a village (Section 4.1)."""
+        """Spread service instances over villages; services that must
+        share a village share all of its cores (Section 4.1)."""
         services: Dict[str, ServiceSpec] = {}
         for app in self.apps.values():
             services.update(app.services)

@@ -22,16 +22,6 @@ def test_enqueue_dequeue_fcfs():
     assert rq.dequeue() is None
 
 
-def test_dequeue_filters_by_service():
-    rq = RequestQueue(8)
-    a, b = rec("s1"), rec("s2")
-    rq.enqueue(a)
-    rq.enqueue(b)
-    assert rq.dequeue("s2") is b
-    assert rq.dequeue("s2") is None
-    assert rq.dequeue("s1") is a
-
-
 def test_dequeue_sets_running_and_skips_blocked():
     rq = RequestQueue(8)
     a, b = rec(), rec()
@@ -95,7 +85,7 @@ def test_has_ready_work_flag():
     assert not rq.has_ready()
     a = rec("s1")
     rq.enqueue(a)
-    assert rq.has_ready() and rq.has_ready("s1") and not rq.has_ready("s2")
+    assert rq.has_ready()
     rq.dequeue()
     assert not rq.has_ready()
 
@@ -111,30 +101,6 @@ def test_mark_ready_requires_blocked():
 def test_invalid_capacity():
     with pytest.raises(ValueError):
         RequestQueue(0)
-
-
-def test_service_dequeue_sees_soft_entries():
-    """Service-filtered dequeue must not skip NIC-buffered (soft)
-    entries: before the ready-heap scan it only walked slots, so a
-    co-located child RPC waiting as a soft entry could starve forever."""
-    rq = RequestQueue(8)
-    child = rec("child-svc")
-    rq.soft_enqueue(child)
-    assert rq.has_ready("child-svc")
-    assert rq.dequeue("child-svc") is child
-    assert child.status is RequestStatus.RUNNING
-
-
-def test_service_dequeue_fcfs_across_slot_and_soft_entries():
-    rq = RequestQueue(8)
-    a, b, c = rec("svc"), rec("svc"), rec("other")
-    rq.enqueue(a)
-    rq.soft_enqueue(b)
-    rq.enqueue(c)
-    assert rq.dequeue("svc") is a     # slot entry arrived first
-    assert rq.dequeue("svc") is b     # then the soft entry
-    assert rq.dequeue("svc") is None
-    assert rq.dequeue("other") is c
 
 
 def test_stale_soft_complete_does_not_go_negative():

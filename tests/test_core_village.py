@@ -114,21 +114,6 @@ def test_rq_overflow_rejects():
     assert not village.submit(make_request())
 
 
-def test_partitioned_cores_only_run_their_service():
-    eng = Engine()
-    village, __ = make_village(eng, n_cores=2)
-    village.cores[0].service = "s1"
-    village.cores[1].service = "s2"
-    done = []
-    r1 = RequestRecord("app", "s1", [1000.0],
-                       on_complete=lambda r: done.append("s1"))
-    village.submit(r1)
-    eng.run()
-    assert done == ["s1"]
-    assert village.cores[0].requests_run == 1
-    assert village.cores[1].requests_run == 0
-
-
 def test_work_stealing_moves_requests():
     eng = Engine()
     executor = StubExecutor(eng)

@@ -100,15 +100,6 @@ def test_describe_lists_every_event():
     assert "2 fault events" in text and "village" in text
 
 
-# --------------------------------------------------- engine-local msg ids
-
-
-def test_engine_msg_id_allocator_is_run_local():
-    eng = Engine()
-    assert [eng.next_msg_id() for __ in range(3)] == [0, 1, 2]
-    assert Engine().next_msg_id() == 0
-
-
 # --------------------------------------------------- request-queue purge
 
 

@@ -1,11 +1,9 @@
-"""Tests for the memory substrate: footprints, memory pool, DRAM."""
+"""Tests for the memory substrate: footprints and the memory pool."""
 
 import numpy as np
 import pytest
 
 from repro.mem import (
-    Dram,
-    DramConfig,
     FootprintModel,
     MemoryPool,
     MemoryPoolConfig,
@@ -101,48 +99,3 @@ def test_snapshot_size_validation():
     pool = MemoryPool(Engine())
     with pytest.raises(ValueError):
         pool.store_snapshot("svc", 0)
-
-
-# --------------------------------------------------------------------- dram
-
-def test_dram_row_hit_faster_than_miss():
-    eng = Engine()
-    dram = Dram(eng)
-    lat = []
-    dram.access(0, lat.append)
-    eng.run()
-    dram.access(2048, lat.append)   # line 32: channel 0, bank 0, row 0 again
-    eng.run()
-    assert lat[0] == pytest.approx(45.0)   # cold: row miss
-    assert lat[1] == pytest.approx(15.0)   # open-row hit
-
-
-def test_dram_channel_queueing():
-    eng = Engine()
-    dram = Dram(eng, DramConfig(channels=1, banks_per_channel=1))
-    lat = []
-    dram.access(0, lat.append)
-    dram.access(0, lat.append)
-    eng.run()
-    assert lat[1] > lat[0]
-
-
-def test_dram_interleaving_spreads_channels():
-    eng = Engine()
-    dram = Dram(eng, DramConfig(channels=4))
-    channels = {dram._map(line * 64)[0] for line in range(8)}
-    assert channels == {0, 1, 2, 3}
-
-
-def test_dram_row_hit_rate_sequential():
-    eng = Engine()
-    dram = Dram(eng, DramConfig(channels=1, banks_per_channel=1))
-    for line in range(64):
-        dram.access(line * 64, lambda t: None)
-    eng.run()
-    assert dram.row_hit_rate() > 0.9
-
-
-def test_dram_config_validation():
-    with pytest.raises(ValueError):
-        DramConfig(channels=0)

@@ -7,31 +7,12 @@ from repro.net import (
     FabricConfig,
     InterServerFabric,
     LNic,
-    Message,
-    MessageKind,
     NicConfig,
     RNic,
     StorageBackend,
     TopLevelNic,
 )
 from repro.sim import Engine
-
-
-def test_message_ids_unique_and_kinds():
-    eng = Engine()
-    a = Message.create(eng, MessageKind.REQUEST, "svc")
-    b = Message.create(eng, MessageKind.RESPONSE, "svc")
-    assert a.msg_id != b.msg_id
-    assert a.is_request and not b.is_request
-
-
-def test_message_ids_are_run_local():
-    # A fresh engine restarts the id sequence: two same-seed runs in one
-    # process see identical ids (the determinism contract), unlike a
-    # module-level counter.
-    first = Message.create(Engine(), MessageKind.REQUEST, "svc")
-    second = Message.create(Engine(), MessageKind.REQUEST, "svc")
-    assert first.msg_id == second.msg_id == 0
 
 
 def test_lnic_serializes_messages():

@@ -269,17 +269,6 @@ def test_bypass_never_jumps_older_ready_work():
     assert village.bypasses == 0
 
 
-def test_bypass_respects_service_partitioning():
-    eng = Engine()
-    dom = SchedulerDomain(eng, HARDWARE_CS, freq_ghz=2.0)
-    village = Village(eng, 0, 2, dom, StubExecutor(eng), core_bypass=True)
-    village.cores[0].service = "a"
-    village.cores[1].service = "b"
-    village.submit(make_request(service="b"))
-    assert village.bypasses == 1
-    assert not village.cores[0].busy and village.cores[1].busy
-
-
 def test_bypass_zeroes_queue_wait():
     eng = Engine()
     dom = SchedulerDomain(eng, HARDWARE_CS, freq_ghz=2.0)
