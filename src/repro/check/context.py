@@ -377,12 +377,11 @@ class CheckContext(NullCheckContext):
         for __, __id, entry in rq._ready_heap:
             if entry.status is not RequestStatus.READY:
                 continue          # lazily-invalidated entry, fine
-            if getattr(entry, "_rq_epoch", rq.epoch) != rq.epoch:
+            if entry._rq_epoch != rq.epoch:
                 self.violation(
                     "rq-structure", f"stale-epoch entry {entry.req_id} "
                     f"in the ready heap", where=rq.name, time_ns=now)
-            elif not getattr(entry, "_rq_soft", False) \
-                    and id(entry) not in slot_ids:
+            elif not entry._rq_soft and id(entry) not in slot_ids:
                 self.violation(
                     "rq-structure", f"ghost READY heap entry "
                     f"{entry.req_id} holds no slot", where=rq.name,
@@ -405,7 +404,7 @@ class CheckContext(NullCheckContext):
             self.violation(
                 "rq-dispatch", f"dequeued entry {rec.req_id} not RUNNING "
                 f"({rec.status})", where=rq.name, time_ns=self._rq_now(rq))
-        if getattr(rec, "_rq_epoch", rq.epoch) != rq.epoch:
+        if rec._rq_epoch != rq.epoch:
             self.violation(
                 "rq-dispatch", f"dequeued stale-epoch entry {rec.req_id}",
                 where=rq.name, time_ns=self._rq_now(rq))

@@ -47,6 +47,20 @@ class RequestRecord:
     failed: bool = False                       # lost to a fault (retries exhausted)
     req_id: int = field(default_factory=lambda: next(_ids))
 
+    # Lifecycle state stamped by the village, its RQ and the server.
+    # Plain class attributes, not dataclass fields: construction does not
+    # pay for them, and the first write shadows the default per record.
+    _owner_village = None          # home Village (set on RQ admission)
+    _enqueue_ns = 0.0              # village admission time
+    _first_dispatch_ns = None      # first Dequeue (None: never ran)
+    _ready_since_ns = 0.0          # last enqueue / blocked -> ready
+    _rq_wait_ns = 0.0              # READY residency of the last dequeue
+    _rq_seq = 0                    # RQ admission counter (policy tie-break)
+    _rq_soft = False               # NIC-buffered entry, holds no slot
+    _rq_epoch = 0                  # RQ epoch at admission (purge guard)
+    _fetch_remaining = 0           # state-fetch messages still in flight
+    _fetch_cont = None             # (village, core) parked on the fetch
+
     @property
     def n_segments(self) -> int:
         return len(self.segments)

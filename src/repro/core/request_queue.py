@@ -67,8 +67,7 @@ class RequestQueue:
     def _account_dequeue(self, rec: RequestRecord) -> None:
         self.dequeues += 1
         if self.clock is not None:
-            rec._rq_wait_ns = self.clock.now - getattr(
-                rec, "_ready_since_ns", self.clock.now)
+            rec._rq_wait_ns = self.clock.now - rec._ready_since_ns
             self.wait_ns_total += rec._rq_wait_ns
 
     @property
@@ -167,7 +166,7 @@ class RequestQueue:
         """Mark finished; advance the head past finished entries."""
         rec.status = RequestStatus.FINISHED
         stale = self.is_stale(rec)
-        if getattr(rec, "_rq_soft", False):
+        if rec._rq_soft:
             # Epoch guard: a purge already reset ``soft_entries`` to 0,
             # so a late completion of a pre-purge soft entry must not
             # decrement it (the counter would go negative and poison
@@ -192,7 +191,7 @@ class RequestQueue:
 
     def is_stale(self, rec: RequestRecord) -> bool:
         """Was ``rec``'s entry wiped by a purge since it was enqueued?"""
-        return getattr(rec, "_rq_epoch", self.epoch) != self.epoch
+        return rec._rq_epoch != self.epoch
 
     def purge(self) -> int:
         """Village failure: drop every entry (slots *and* soft entries).

@@ -149,8 +149,10 @@ class Village:
         self._kick()
 
     def make_ready(self, rec: RequestRecord) -> None:
-        """An RPC response arrived: entry goes blocked -> ready (wakeup)."""
-        owner = getattr(rec, "_owner_village", self)
+        """An RPC response arrived: the request moves past the call and
+        its entry goes blocked -> ready (wakeup)."""
+        rec.advance_segment()
+        owner = rec._owner_village
         if owner.failed or owner.rq.is_stale(rec):
             # The entry's context memory was purged by a village failure;
             # a late response has nothing to wake up.
@@ -235,17 +237,15 @@ class Village:
             return False
         core.busy = True
         core.requests_run += 1
-        if not hasattr(rec, "_first_dispatch_ns"):
+        if rec._first_dispatch_ns is None:
             rec._first_dispatch_ns = self.engine.now
-            rec.queue_wait_ns = self.engine.now - getattr(
-                rec, "_enqueue_ns", self.engine.now)
+            rec.queue_wait_ns = self.engine.now - rec._enqueue_ns
         tracer = self.engine.tracer
         if tracer.enabled:
             # RQ residency ends at dequeue; the ready stamp comes from the
             # queue's clock (enqueue or the last blocked->ready wakeup).
-            tracer.span("rq_wait", self.name, getattr(
-                rec, "_ready_since_ns", self.engine.now), self.engine.now,
-                rec=rec, track=self.name)
+            tracer.span("rq_wait", self.name, rec._ready_since_ns,
+                        self.engine.now, rec=rec, track=self.name)
         stolen = rec.village != self.village_id
         if stolen:
             check = self.engine.check
@@ -294,7 +294,7 @@ class Village:
         self.engine.schedule(duration, self._segment_finished, core, rec)
 
     def _segment_finished(self, core: Core, rec: RequestRecord) -> None:
-        owner = getattr(rec, "_owner_village", self)
+        owner = rec._owner_village
         if self.failed or owner.failed or owner.rq.is_stale(rec):
             # The village (or the entry's home RQ) died mid-segment: the
             # request is gone.  Free the core if *this* village is alive.
@@ -309,7 +309,7 @@ class Village:
 
     def block_for_call(self, rec: RequestRecord, core: Core) -> None:
         """The request issued a blocking RPC: save state, free the core."""
-        owner = getattr(rec, "_owner_village", self)
+        owner = rec._owner_village
         owner.rq.mark_blocked(rec)
 
         def saved():
@@ -320,7 +320,7 @@ class Village:
 
     def finish(self, rec: RequestRecord, core: Core) -> None:
         """The request completed: Complete instruction, free the core."""
-        owner = getattr(rec, "_owner_village", self)
+        owner = rec._owner_village
         owner.rq.complete(rec)
         rec.finish_ns = self.engine.now
         self.completed += 1

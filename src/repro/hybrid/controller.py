@@ -342,23 +342,14 @@ class HybridController:
         return True
 
     def _complete_root(self, server, arrival_ns: float) -> None:
-        """Replicates the success branch of the detailed done() path so
-        every ledger (LB, root conservation, recorders, metrics) balances
+        """An elided root's analytic completion.  It goes through
+        :meth:`ClusterSimulation.root_done`, the detailed roots' ledger,
+        so the LB, root conservation, recorders and metrics balance
         exactly as if the request had been simulated."""
         sim = self.sim
-        if sim.lb is not None:
-            sim.lb.request_done(server.server_id)
-            sim.server_answered[server.server_id] += 1
         if sim.check.enabled:
-            sim.check.root_done("completed")
             sim.check.hybrid_elide_root()
-        latency = self.engine.now - arrival_ns
-        sim.recorder.record(self.engine.now, latency)
-        if sim.server_recorders is not None:
-            sim.server_recorders[server.server_id].record(
-                self.engine.now, latency)
-        if sim.metrics is not None:
-            sim.metrics.histogram("latency_ns").observe(latency)
+        sim.root_done(server, arrival_ns)
         self.engine.events_elided = int(self._elided_estimate)
 
     def should_elide_call(self, target: str) -> bool:
@@ -375,7 +366,6 @@ class HybridController:
         latency = self._dists[target].sample(self.rng)
 
         def respond() -> None:
-            parent.advance_segment()
             village.make_ready(parent)
 
         self.engine.schedule(latency, respond)

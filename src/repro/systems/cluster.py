@@ -341,38 +341,43 @@ class ClusterSimulation:
         if self.hybrid is not None \
                 and self.hybrid.intercept_root(server, arrival_ns):
             return
+        server.client_request(
+            self.app.name, lambda rec: self.root_done(server, arrival_ns, rec))
 
-        def done(rec) -> None:
-            if self.lb is not None:
-                self.lb.request_done(server.server_id)
-                self.server_answered[server.server_id] += 1
-            if rec.rejected:
-                self.rejected += 1
-                if self.check.enabled:
-                    self.check.root_done("rejected")
-                if self.metrics is not None:
-                    self.metrics.counter("rejected").inc()
-                return
-            if rec.failed:
-                # An error response (retries exhausted / deadline blown):
-                # answered, but not goodput — excluded from latency.
-                self.failed += 1
-                if self.check.enabled:
-                    self.check.root_done("failed")
-                if self.metrics is not None:
-                    self.metrics.counter("failed").inc()
-                return
+    def root_done(self, server: Server, arrival_ns: float,
+                  rec=None) -> None:
+        """The root ledger: one answered root request, issued to
+        ``server`` at ``arrival_ns``.  Balances the LB, the check
+        ledger, the recorders and the metrics; ``rec`` is None for an
+        analytic (hybrid) completion, which always succeeds."""
+        if self.lb is not None:
+            self.lb.request_done(server.server_id)
+            self.server_answered[server.server_id] += 1
+        if rec is not None and rec.rejected:
+            self.rejected += 1
             if self.check.enabled:
-                self.check.root_done("completed")
-            latency = self.engine.now - arrival_ns
-            self.recorder.record(self.engine.now, latency)
-            if self.server_recorders is not None:
-                self.server_recorders[server.server_id].record(
-                    self.engine.now, latency)
+                self.check.root_done("rejected")
             if self.metrics is not None:
-                self.metrics.histogram("latency_ns").observe(latency)
-
-        server.client_request(self.app.name, done)
+                self.metrics.counter("rejected").inc()
+            return
+        if rec is not None and rec.failed:
+            # An error response (retries exhausted / deadline blown):
+            # answered, but not goodput — excluded from latency.
+            self.failed += 1
+            if self.check.enabled:
+                self.check.root_done("failed")
+            if self.metrics is not None:
+                self.metrics.counter("failed").inc()
+            return
+        if self.check.enabled:
+            self.check.root_done("completed")
+        latency = self.engine.now - arrival_ns
+        self.recorder.record(self.engine.now, latency)
+        if self.server_recorders is not None:
+            self.server_recorders[server.server_id].record(
+                self.engine.now, latency)
+        if self.metrics is not None:
+            self.metrics.histogram("latency_ns").observe(latency)
 
     def run(self, max_events: Optional[int] = None) -> RunResult:
         self._schedule_arrivals()

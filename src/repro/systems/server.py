@@ -366,7 +366,7 @@ class Server:
         # Demand state fetch still in flight: the core stalls on it (the
         # working set has not fully arrived).  Local-pool fetches finish
         # under the compute; remote interleaved fetches may not.
-        if getattr(rec, "_fetch_remaining", 0) > 0:
+        if rec._fetch_remaining > 0:
             rec._fetch_cont = (village, core)
             return
         self._segment_done_impl(rec, village, core)
@@ -389,13 +389,6 @@ class Server:
 
     # ------------------------------------------------------ blocking calls
 
-    def _coh_bytes(self, size: int) -> int:
-        """Coherence traffic inflates on-package message cost."""
-        return int(size * self.coherence.coherence_message_factor())
-
-    # (The three fixed RPC sizes are precomputed in __init__ as
-    # _coh_request_bytes/_coh_response_bytes/_coh_storage_bytes.)
-
     def _storage_access(self, rec: RequestRecord, village: Village) -> None:
         """village -> leaf -> R-NIC -> fabric -> storage, and back."""
         v = village.village_id
@@ -408,7 +401,6 @@ class Server:
             if tracer.enabled:
                 tracer.span("storage_rpc", "storage", issued_ns,
                             self.engine.now, rec=rec, track="storage")
-            rec.advance_segment()
             village.make_ready(rec)
 
         def back_on_package() -> None:
@@ -489,56 +481,57 @@ class Server:
             _ResilientCall(self, rec, village, target).launch()
             return
         hybrid = self.hybrid
-        if hybrid is not None and hybrid.should_elide_call(target):
+        if hybrid is None:
+            self._issue_call(rec, village, target)
+            return
+        if hybrid.should_elide_call(target):
             # Committed callee: answer the RPC analytically — no child
             # request, no NIC/ICN/RQ events, just a sampled latency and
             # the normal parent wakeup.
             hybrid.elide_call(rec, village, target)
             return
+        # Detailed call under an armed controller: record the
+        # parent-visible latency (issue -> resume) to calibrate the
+        # callee's analytic model, then wake the parent as usual, so the
+        # event sequence does not change.
+        issued_ns = self.engine.now
+
+        def observed(child: RequestRecord) -> None:
+            hybrid.observe_call(target, self.engine.now - issued_ns)
+            village.make_ready(rec)
+
+        self._issue_call(rec, village, target, observed)
+
+    def _issue_call(self, parent: RequestRecord, village: Village,
+                    target: str, on_resume: Optional[Callable] = None,
+                    exclude: Optional[int] = None) -> Optional[int]:
+        """Pick the callee, build the child RPC, open its span and send
+        it; returns (and raises) as :meth:`_send_call`.  The response
+        wakes ``parent``, or calls ``on_resume(child)`` when given."""
         callee = self._pick_callee(target)
 
-        if hybrid is not None:
-            # Detailed call under an armed controller: record the
-            # parent-visible latency (issue -> resume) to calibrate the
-            # callee's analytic model.  The resume body is identical to
-            # the default one, so the event sequence does not change.
-            issued_ns = self.engine.now
+        def respond(child: RequestRecord) -> None:
+            self._deliver_response(callee, child, village, parent,
+                                   on_resume)
 
-            def respond(child: RequestRecord) -> None:
-                self._deliver_response(
-                    callee, child, village, rec,
-                    on_resume=lambda: self._hybrid_resume(
-                        rec, village, target, issued_ns))
-        else:
-            def respond(child: RequestRecord) -> None:
-                self._deliver_response(callee, child, village, rec)
-
-        child = self._make_request(rec.app_name, target, respond,
-                                   depth=rec.depth + 1)
+        child = self._make_request(parent.app_name, target, respond,
+                                   depth=parent.depth + 1)
         tracer = self.engine.tracer
         if tracer.enabled:
             # Nested RPC: its own request span, parented into the caller's
             # trace so the span tree follows the RPC tree.
-            tracer.begin_request(child, self.engine.now, parent=rec)
-        self._send_call(village, child, callee, target)
-
-    def _hybrid_resume(self, parent: RequestRecord, village: Village,
-                       target: str, issued_ns: float) -> None:
-        """Default response wakeup plus one calibration observation."""
-        if self.hybrid is not None:
-            self.hybrid.observe_call(target, self.engine.now - issued_ns)
-        parent.advance_segment()
-        village.make_ready(parent)
+            tracer.begin_request(child, self.engine.now, parent=parent)
+        return self._send_call(village, child, callee, target, exclude)
 
     def _deliver_response(self, callee: "Server", child: RequestRecord,
                           parent_village: Village,
                           parent: RequestRecord,
-                          on_resume: Optional[Callable[[], None]] = None
-                          ) -> None:
+                          on_resume: Optional[Callable] = None) -> None:
         """Send a child's response back to the waiting parent.
 
-        ``on_resume`` (resilient calls) replaces the default wakeup so the
-        caller's first-response-wins logic decides what happens.
+        On arrival the parent is woken through
+        :meth:`Village.make_ready`, unless ``on_resume(child)`` (hybrid
+        calibration, resilient calls) replaces that wakeup.
         """
 
         tracer = self.engine.tracer
@@ -549,10 +542,9 @@ class Server:
                 # the waiting parent — the full parent-visible latency.
                 tracer.end_request(child, self.engine.now)
             if on_resume is not None:
-                on_resume()
-                return
-            parent.advance_segment()
-            parent_village.make_ready(parent)
+                on_resume(child)
+            else:
+                parent_village.make_ready(parent)
 
         child_node = callee._village_node(child.village)
         if callee is self:
@@ -663,6 +655,20 @@ class Server:
                 rec=rec),
             rec=rec)
 
+    def _reject(self, rec: RequestRecord,
+                on_reject: Optional[Callable]) -> None:
+        """Answer an external request with an error response."""
+        self.rejected += 1
+        rec.rejected = True
+        rec.finish_ns = self.engine.now
+        if self.engine.check.enabled:
+            self.engine.check.ext_rejected(rec)
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.end_request(rec, self.engine.now, rejected=True)
+        if on_reject is not None:
+            on_reject(rec)
+
     def _dispatch_external(self, rec: RequestRecord, internal: bool,
                            on_reject: Optional[Callable] = None) -> None:
         try:
@@ -674,16 +680,7 @@ class Server:
             # an error response; internal ones blackhole and are rescued
             # by their caller's timeout/retry.
             if not internal:
-                self.rejected += 1
-                rec.rejected = True
-                rec.finish_ns = self.engine.now
-                if self.engine.check.enabled:
-                    self.engine.check.ext_rejected(rec)
-                if self.engine.tracer.enabled:
-                    self.engine.tracer.end_request(rec, self.engine.now,
-                                                   rejected=True)
-                if on_reject is not None:
-                    on_reject(rec)
+                self._reject(rec, on_reject)
             return
         cluster = self.village_cluster(village_id)
 
@@ -697,16 +694,7 @@ class Server:
                 self.engine.schedule(RETRY_NS, self._retry_buffered,
                                      rec, village_id, on_reject)
             else:
-                self.rejected += 1
-                rec.rejected = True
-                rec.finish_ns = self.engine.now
-                if self.engine.check.enabled:
-                    self.engine.check.ext_rejected(rec)
-                tracer = self.engine.tracer
-                if tracer.enabled:
-                    tracer.end_request(rec, self.engine.now, rejected=True)
-                if on_reject is not None:
-                    on_reject(rec)
+                self._reject(rec, on_reject)
 
         self._nic_links[cluster].acquire(
             self._nic_hop_ns,
@@ -793,21 +781,9 @@ class _ResilientCall:
     def _issue(self, exclude: Optional[int], hedge: bool) -> None:
         server = self.server
         started = server.engine.now
-        callee = server._pick_callee(self.target)
-
-        def respond(child: RequestRecord) -> None:
-            server._deliver_response(
-                callee, child, self.parent_village, self.parent,
-                on_resume=lambda: self._complete(child))
-
-        child = server._make_request(self.parent.app_name, self.target,
-                                     respond, depth=self.parent.depth + 1)
-        tracer = server.engine.tracer
-        if tracer.enabled:
-            tracer.begin_request(child, started, parent=self.parent)
         try:
-            dst = server._send_call(self.parent_village, child, callee,
-                                    self.target, exclude=exclude)
+            dst = server._issue_call(self.parent, self.parent_village,
+                                     self.target, self._complete, exclude)
         except KeyError:
             # Every healthy instance is gone right now: skip the blackhole
             # wait (the ServiceMap already knows) and go straight to the
@@ -882,20 +858,19 @@ class _ResilientCall:
         if self.done:
             self.server.wasted_responses += 1
             return
-        self.done = True
-        self._cancel_all()
-        if child.failed:
-            # The child itself came back degraded: propagate up the tree.
-            self.parent.failed = True
-        self.parent.advance_segment()
-        self.parent_village.make_ready(self.parent)
+        # A child that came back degraded propagates up the tree.
+        self._resolve(child.failed)
 
     def _finish_failed(self) -> None:
+        self.server.rpc_failed += 1
+        self._resolve(True)
+
+    def _resolve(self, failed: bool) -> None:
+        """Settle the call once: cancel pending timers, wake the parent."""
         self.done = True
         self._cancel_all()
-        self.server.rpc_failed += 1
-        self.parent.failed = True
-        self.parent.advance_segment()
+        if failed:
+            self.parent.failed = True
         self.parent_village.make_ready(self.parent)
 
 

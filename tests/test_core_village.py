@@ -23,12 +23,7 @@ class StubExecutor:
             village.finish(rec, core)
             return
         village.block_for_call(rec, core)
-
-        def respond():
-            rec.advance_segment()
-            village.make_ready(rec)
-
-        self.engine.schedule(self.block_ns, respond)
+        self.engine.schedule(self.block_ns, village.make_ready, rec)
 
 
 def make_village(engine, n_cores=2, executor=None, **kw):

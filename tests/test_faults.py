@@ -12,7 +12,7 @@ from repro.faults import FaultEvent, FaultSchedule, ResilienceConfig, \
 from repro.net import LNic, NicConfig, TopLevelNic
 from repro.sim import Engine
 from repro.systems.cluster import ClusterSimulation, simulate
-from repro.systems.configs import UMANYCORE
+from repro.systems.configs import SCALEOUT, SERVERCLASS, UMANYCORE
 from repro.workloads.deathstar import social_network_app
 
 SMALL = replace(UMANYCORE, n_cores=128, n_clusters=8)
@@ -296,3 +296,23 @@ def test_run_result_dict_gains_fault_keys_only_in_fault_mode():
     for key in ("failed", "availability", "goodput_rps", "faults"):
         assert key not in clean
         assert key in faulted
+
+
+@pytest.mark.parametrize("config", [UMANYCORE, SCALEOUT, SERVERCLASS],
+                         ids=lambda c: c.name)
+def test_idle_resilience_wrapper_leaves_the_run_unchanged(config):
+    """Metamorphic: a resilience policy whose timers never fire issues
+    every call through the same path as a plain run, with the same RNG
+    draws, so the answers are identical and no timeout is counted."""
+    def run(**kw):
+        return simulate(config, social_network_app("Text"),
+                        rps_per_server=8_000, n_servers=2,
+                        duration_s=0.005, seed=3, **kw)
+
+    plain = run()
+    guarded = run(resilience=ResilienceConfig(timeout_ns=1e9,
+                                              max_retries=0))
+    assert guarded.summary.as_dict() == plain.summary.as_dict()
+    assert (guarded.completed, guarded.rejected) == \
+        (plain.completed, plain.rejected)
+    assert guarded.fault_stats["rpc_timeouts"] == 0

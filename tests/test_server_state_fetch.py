@@ -64,8 +64,8 @@ def test_segment_done_waits_for_inflight_fetch():
 def test_coherence_traffic_inflates_message_bytes():
     __, um, __a = build(UMANYCORE)
     __, so, __a2 = build(SCALEOUT)
-    assert um._coh_bytes(1000) == 1000            # village coherence
-    assert so._coh_bytes(1000) > 1000             # global coherence
+    assert um._coh_request_bytes == 512           # village coherence
+    assert so._coh_request_bytes > 512            # global coherence
 
 
 def test_resume_penalty_zero_for_fresh_request():
