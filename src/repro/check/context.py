@@ -322,58 +322,46 @@ class CheckContext(NullCheckContext):
                 time_ns=self._rq_now(rq))
         led.ops += 1
         if led.ops % self.sample_every == 0:
-            self._rq_structural(rq, full=rq.capacity <= 4096)
+            self._rq_structural(rq)
 
-    def _rq_structural(self, rq, full: bool = True) -> None:
-        """O(occupancy + heap) structural scan of one queue.
+    def _rq_structural(self, rq) -> None:
+        """O(occupancy + heap) structural scan of one queue's window.
 
-        ``full`` additionally walks the whole slot array (entries
-        outside the live window must be None) — skipped on every
-        sampled scan for DRAM-sized software queues.
+        The queue stores only its live window, so no entry can survive
+        outside it once the head passes; the scan covers the window.
         """
         from repro.core.request import RequestStatus
 
         self.stats.structural_scans += 1
         now = self._rq_now(rq)
-        window = set()
+        window = rq.entries()
         live = 0
-        for offset in range(rq._size):
-            idx = (rq._head + offset) % rq.capacity
-            window.add(idx)
-            entry = rq._slots[idx]
+        for pos, entry in enumerate(window):
             if entry is None:
                 self.violation(
-                    "rq-structure", f"hole in live window at slot {idx}",
+                    "rq-structure", f"hole in live window at slot {pos}",
                     where=rq.name, time_ns=now)
                 continue
             live += 1
             if not isinstance(entry.status, RequestStatus):
                 self.violation(
-                    "rq-structure", f"slot {idx} has invalid status "
+                    "rq-structure", f"slot {pos} has invalid status "
                     f"{entry.status!r}", where=rq.name, time_ns=now)
-        if live != rq._size:
+        if live != rq.occupancy:
             self.violation(
                 "rq-structure", f"window holds {live} entries but "
-                f"_size is {rq._size}", where=rq.name, time_ns=now)
-        if full:
-            for idx, entry in enumerate(rq._slots):
-                if entry is not None and idx not in window:
-                    self.violation(
-                        "rq-structure",
-                        f"slot {idx} occupied outside the live window "
-                        f"(req {entry.req_id})", where=rq.name, time_ns=now)
+                f"occupancy is {rq.occupancy}", where=rq.name, time_ns=now)
         # Every READY slot entry must be reachable through the ready
         # heap, and every READY heap entry must point at a live slot
         # or soft entry of the current epoch (no ghosts).
         heap_ids = {id(r) for __, __id, r in rq._ready_heap}
-        for offset in range(rq._size):
-            entry = rq._slots[(rq._head + offset) % rq.capacity]
+        for entry in window:
             if entry is not None and entry.status is RequestStatus.READY \
                     and id(entry) not in heap_ids:
                 self.violation(
                     "rq-structure", f"READY entry {entry.req_id} missing "
                     f"from the ready heap", where=rq.name, time_ns=now)
-        slot_ids = {id(e) for e in rq._slots if e is not None}
+        slot_ids = {id(e) for e in window if e is not None}
         for __, __id, entry in rq._ready_heap:
             if entry.status is not RequestStatus.READY:
                 continue          # lazily-invalidated entry, fine
@@ -428,8 +416,7 @@ class CheckContext(NullCheckContext):
 
         led = self._ledger(rq)
         dropped = rq.soft_entries
-        for offset in range(rq._size):
-            entry = rq._slots[(rq._head + offset) % rq.capacity]
+        for entry in rq.entries():
             if entry is not None \
                     and entry.status is not RequestStatus.FINISHED:
                 dropped += 1
@@ -643,13 +630,12 @@ class CheckContext(NullCheckContext):
         purged_anywhere = False
         for led in self._rqs.values():
             rq = led.rq
-            self._rq_structural(rq, full=True)
+            self._rq_structural(rq)
             purged_anywhere = purged_anywhere or led.purged > 0
             if not drained:
                 continue
             live = rq.soft_entries
-            for offset in range(rq._size):
-                entry = rq._slots[(rq._head + offset) % rq.capacity]
+            for entry in rq.entries():
                 if entry is not None \
                         and entry.status is not RequestStatus.FINISHED:
                     live += 1

@@ -2,7 +2,9 @@
 
 A circular buffer with head/tail pointers.  Entries hold a status, a
 service id, and a pointer into the Request Context Memory (here: the
-:class:`~repro.core.request.RequestRecord` itself).
+:class:`~repro.core.request.RequestRecord` itself).  Only the live window
+(head to tail) is stored, so a DRAM-sized software queue costs memory in
+proportion to what it holds, not to its capacity.
 
 Semantics implemented faithfully:
 
@@ -18,7 +20,8 @@ Semantics implemented faithfully:
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional
+from collections import deque
+from typing import Deque, List, Optional
 
 from repro.check.context import NULL_CHECK
 from repro.core.request import RequestRecord, RequestStatus
@@ -36,9 +39,8 @@ class RequestQueue:
         self.capacity = capacity
         self.name = name
         self.policy = policy or FCFS_POLICY
-        self._slots: List[Optional[RequestRecord]] = [None] * capacity
-        self._head = 0
-        self._size = 0
+        # The live window, head (left) to tail.
+        self._slots: Deque[RequestRecord] = deque()
         self.enqueued = 0
         self.rejected = 0
         self.peak_occupancy = 0
@@ -72,23 +74,22 @@ class RequestQueue:
 
     @property
     def occupancy(self) -> int:
-        return self._size
+        return len(self._slots)
 
     @property
     def is_full(self) -> bool:
-        return self._size >= self.capacity
+        return len(self._slots) >= self.capacity
 
     def enqueue(self, rec: RequestRecord) -> bool:
         """Append at the tail; False (and count a rejection) when full."""
         if self.is_full:
             self.rejected += 1
             return False
-        tail = (self._head + self._size) % self.capacity
-        self._slots[tail] = rec
-        self._size += 1
+        slots = self._slots
+        slots.append(rec)
         self.enqueued += 1
-        if self._size > self.peak_occupancy:
-            self.peak_occupancy = self._size
+        if len(slots) > self.peak_occupancy:
+            self.peak_occupancy = len(slots)
         rec.status = RequestStatus.READY
         rec._rq_seq = self.enqueued
         rec._rq_soft = False
@@ -177,15 +178,9 @@ class RequestQueue:
                 self.check.rq_complete(self, rec, stale=stale)
             return
         if not stale:
-            while self._size > 0:
-                head_rec = self._slots[self._head]
-                if head_rec is None \
-                        or head_rec.status is RequestStatus.FINISHED:
-                    self._slots[self._head] = None
-                    self._head = (self._head + 1) % self.capacity
-                    self._size -= 1
-                else:
-                    break
+            slots = self._slots
+            while slots and slots[0].status is RequestStatus.FINISHED:
+                slots.popleft()
         if self.check.enabled:
             self.check.rq_complete(self, rec, stale=stale)
 
@@ -203,20 +198,13 @@ class RequestQueue:
         """
         if self.check.enabled:
             self.check.rq_purge(self)       # counts the pre-wipe entries
-        dropped = self._size + self.soft_entries
-        self._slots = [None] * self.capacity
-        self._head = 0
-        self._size = 0
+        dropped = len(self._slots) + self.soft_entries
+        self._slots.clear()
         self.soft_entries = 0
         self._ready_heap.clear()
         self.epoch += 1
         return dropped
 
     def entries(self) -> List[RequestRecord]:
-        """Live entries from head to tail (diagnostics)."""
-        out = []
-        for offset in range(self._size):
-            rec = self._slots[(self._head + offset) % self.capacity]
-            if rec is not None:
-                out.append(rec)
-        return out
+        """The live window from head to tail (diagnostics, checker)."""
+        return list(self._slots)

@@ -1,5 +1,6 @@
 """Tests for the invariant sanitizer (repro.check)."""
 
+import heapq
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -123,6 +124,73 @@ def test_span_tree_scans_non_request_spans():
                            start_ns=20.0, end_ns=5.0)
     vs = check_span_tree(_tracer([], spans=[span]))
     assert any("negative duration" in v.message for v in vs)
+
+
+# ------------------------------------------------------ request-queue scans
+
+def _rec():
+    from repro.core import RequestRecord
+
+    return RequestRecord(app_name="app", service="svc", segments=[1000.0],
+                         on_complete=lambda r: None)
+
+
+def _hole(rq):
+    rq._slots.append(None)
+
+
+def _unindexed_ready(rq):
+    rq._ready_heap.clear()
+
+
+def _ghost(rq):
+    from repro.core import RequestStatus
+
+    ghost = _rec()
+    ghost.status = RequestStatus.READY
+    ghost._rq_soft = False
+    ghost._rq_epoch = rq.epoch
+    heapq.heappush(rq._ready_heap, ((0,), ghost.req_id, ghost))
+
+
+def _stale_epoch(rq):
+    rq.epoch += 1
+
+
+def _overfull(rq):
+    rq._slots.extend(_rec() for __ in range(rq.capacity))
+
+
+@pytest.mark.parametrize("seed_fault, message", [
+    (None, None),
+    (_hole, "hole in live window"),
+    (_unindexed_ready, "missing from the ready heap"),
+    (_ghost, "holds no slot"),
+    (_stale_epoch, "stale-epoch entry"),
+    (_overfull, "outside [0, 4]"),
+])
+def test_rq_structure_check_fires_on_seeded_faults(seed_fault, message):
+    """Each structural RQ invariant is seen firing on a queue corrupted
+    in exactly that way, and stays quiet on an intact one."""
+    from repro.core import RequestQueue
+
+    check = CheckContext(strict=True, sample_every=1)
+    rq = RequestQueue(4, name="v0.rq",
+                      clock=SimpleNamespace(now=0.0, check=check))
+    for __ in range(2):
+        rq.enqueue(_rec())
+    if seed_fault is None:
+        rq.soft_enqueue(_rec())
+        check.finalize(drained=False)
+        assert check.ok, check.report()
+        return
+    seed_fault(rq)
+    rq.soft_enqueue(_rec())          # one checked queue operation
+    check.finalize(drained=False)
+    hits = [v for v in check.violations if v.category == "rq-structure"]
+    assert any(message in v.message for v in hits), check.violations
+    with pytest.raises(CheckError, match="rq-structure"):
+        check.raise_if_violations()
 
 
 # ------------------------------------------------------------- whole-system

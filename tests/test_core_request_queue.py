@@ -1,7 +1,9 @@
 """Tests for the hardware Request Queue (Section 4.3 semantics)."""
 
+import heapq
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import RequestQueue, RequestRecord, RequestStatus
@@ -179,3 +181,167 @@ def test_rq_invariants_under_random_ops(ops):
             rq.complete(running.pop(0))
         assert 0 <= rq.occupancy <= rq.capacity
     assert order == sorted(order)   # FCFS dequeue order
+
+
+# ------------------------------------------------- differential vs the ring
+
+class RingRQ(RequestQueue):
+    """Reference: the preallocated ``[None] * capacity`` head/size ring
+    that the live-window deque replaced.  Scheduling (ready heap, epochs,
+    soft entries) is inherited; only the slot storage differs."""
+
+    def __init__(self, capacity):
+        super().__init__(capacity)
+        self._slots = [None] * capacity
+        self._head = 0
+        self._size = 0
+
+    @property
+    def occupancy(self):
+        return self._size
+
+    @property
+    def is_full(self):
+        return self._size >= self.capacity
+
+    def enqueue(self, rec):
+        if self.is_full:
+            self.rejected += 1
+            return False
+        tail = (self._head + self._size) % self.capacity
+        self._slots[tail] = rec
+        self._size += 1
+        self.enqueued += 1
+        if self._size > self.peak_occupancy:
+            self.peak_occupancy = self._size
+        rec.status = RequestStatus.READY
+        rec._rq_seq = self.enqueued
+        rec._rq_soft = False
+        rec._rq_epoch = self.epoch
+        heapq.heappush(self._ready_heap,
+                       (self.policy.key(rec), rec.req_id, rec))
+        return True
+
+    def complete(self, rec):
+        rec.status = RequestStatus.FINISHED
+        stale = self.is_stale(rec)
+        if rec._rq_soft:
+            if not stale:
+                self.soft_entries -= 1
+            return
+        if not stale:
+            while self._size > 0:
+                head_rec = self._slots[self._head]
+                if head_rec is None \
+                        or head_rec.status is RequestStatus.FINISHED:
+                    self._slots[self._head] = None
+                    self._head = (self._head + 1) % self.capacity
+                    self._size -= 1
+                else:
+                    break
+
+    def purge(self):
+        dropped = self._size + self.soft_entries
+        self._slots = [None] * self.capacity
+        self._head = 0
+        self._size = 0
+        self.soft_entries = 0
+        self._ready_heap.clear()
+        self.epoch += 1
+        return dropped
+
+    def entries(self):
+        out = []
+        for offset in range(self._size):
+            rec = self._slots[(self._head + offset) % self.capacity]
+            if rec is not None:
+                out.append(rec)
+        return out
+
+
+RQ_OPS = ["enqueue", "soft_enqueue", "dequeue", "mark_blocked",
+          "mark_ready", "complete", "purge"]
+
+
+@given(st.integers(1, 8),
+       st.lists(st.tuples(st.sampled_from(RQ_OPS), st.integers(0, 7)),
+                max_size=80))
+@example(4, [("enqueue", 0), ("enqueue", 0), ("dequeue", 0),
+             ("dequeue", 0), ("complete", 1), ("complete", 0)])
+@settings(max_examples=200, deadline=None)
+def test_live_window_matches_reference_ring(capacity, ops):
+    """The deque RQ and the preallocated ring agree on every operation:
+    return values, occupancy, rejections, peak, dequeue order, purge
+    drop counts and the live window, including late (post-purge)
+    wakeups and completions."""
+    live, ring = RequestQueue(capacity), RingRQ(capacity)
+    twins = []                        # index -> (live record, ring record)
+    index = {}                        # id(either twin) -> index
+    running, blocked = [], []         # indices, stale ones included
+
+    def idx(r):
+        return None if r is None else index[id(r)]
+
+    for op, k in ops:
+        if op in ("enqueue", "soft_enqueue"):
+            a, b = rec(), rec()
+            index[id(a)] = index[id(b)] = len(twins)
+            twins.append((a, b))
+            assert getattr(live, op)(a) == getattr(ring, op)(b)
+        elif op == "dequeue":
+            got = idx(live.dequeue())
+            assert got == idx(ring.dequeue())
+            if got is not None:
+                running.append(got)
+        elif op == "purge":
+            assert live.purge() == ring.purge()
+        elif op in ("mark_blocked", "complete") and running:
+            i = running.pop(k % len(running))
+            a, b = twins[i]
+            getattr(live, op)(a)
+            getattr(ring, op)(b)
+            if op == "mark_blocked":
+                blocked.append(i)
+        elif op == "mark_ready" and blocked:
+            i = blocked.pop(k % len(blocked))
+            a, b = twins[i]
+            assert live.is_stale(a) == ring.is_stale(b)
+            live.mark_ready(a)
+            ring.mark_ready(b)
+            assert a.status is b.status
+        assert live.occupancy == ring.occupancy
+        assert live.is_full == ring.is_full
+        assert live.rejected == ring.rejected
+        assert live.peak_occupancy == ring.peak_occupancy
+        assert live.soft_entries == ring.soft_entries
+        assert [idx(r) for r in live.entries()] \
+            == [idx(r) for r in ring.entries()]
+
+
+# ------------------------------------------------------------------ memory
+
+def test_construction_memory_tracks_occupancy_not_capacity():
+    """A ScaleOut server's 32 DRAM-sized software queues allocate no
+    per-slot storage up front."""
+    import tracemalloc
+
+    from repro.systems.cluster import ClusterSimulation
+    from repro.systems.configs import SCALEOUT
+    from repro.workloads.deathstar import SOCIAL_NETWORK_APPS
+
+    app = SOCIAL_NETWORK_APPS["Text"]
+    ClusterSimulation(SCALEOUT, app, 1000.0, n_servers=1)   # warm-up
+    tracemalloc.start()
+    try:
+        ClusterSimulation(SCALEOUT, app, 1000.0, n_servers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, f"building one ScaleOut server peaked at {peak} B"
+
+    huge = RequestQueue(capacity=10**9)
+    assert huge.enqueue(rec()) and huge.occupancy == 1
+    small = RequestQueue(capacity=2)
+    assert small.enqueue(rec()) and small.enqueue(rec())
+    assert not small.enqueue(rec())
+    assert small.rejected == 1
