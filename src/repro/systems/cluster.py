@@ -46,7 +46,9 @@ class RunResult:
     offered: int
     #: The run's tracer when tracing was enabled (else None).
     tracer: Optional[object] = None
-    #: The run's sampled metrics registry when enabled (else None).
+    #: The run's metrics registry when enabled (else None), closed when
+    #: the run ended: gauge names, sampled series, counters and
+    #: histograms, with no reader left pointing into the simulator.
     metrics: Optional[MetricsRegistry] = None
     #: Warm-up cutoff used for the summary (ns) — also applied to the
     #: span-derived breakdown so both cover the same request population.
@@ -391,6 +393,10 @@ class ClusterSimulation:
             self.metrics.histogram("latency_ns")
             self.metrics.start_sampling(self.engine, self.metrics_interval_ns)
         self.engine.run(max_events=max_events)
+        if self.metrics is not None:
+            # The gauges close over the servers; a closed registry lets
+            # the result outlive the simulator without pinning it.
+            self.metrics.close()
         if self.check.enabled:
             # Balance the conservation ledgers; drain-only checks are
             # skipped when a max_events budget truncated the run.

@@ -5,13 +5,20 @@ describe *one request's* path, metrics describe *system state over
 time* — RQ depths, village utilization, NIC buffer occupancy, ICN link
 contention.  Gauges are callables sampled on a fixed simulated-time
 interval by a self-rescheduling engine event; the sampler stops
-rescheduling once the event heap is otherwise empty so it never keeps a
-finished simulation alive.
+rescheduling once the event heap is otherwise empty, so it never keeps
+the engine running.
+
+Gauge readers close over live simulation objects (servers, networks),
+so the registry has a lifetime: :meth:`MetricsRegistry.close` drops
+every reader and leaves plain data — gauge names, sampled series,
+counters and histograms.  ``ClusterSimulation.run`` closes its registry
+as soon as the engine stops, so a ``RunResult`` never keeps a finished
+simulator alive.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,12 +100,17 @@ class Histogram:
 
 class MetricsRegistry:
     """Create-or-get registry of counters/gauges/histograms plus the
-    sampled time series of every gauge."""
+    sampled time series of every gauge.
+
+    Open until :meth:`close`; a closed registry keeps every recorded
+    value but reads no gauge again.
+    """
 
     def __init__(self) -> None:
-        """Create an empty registry."""
+        """Create an empty, open registry."""
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
+        #: None once closed; ``series`` keeps the names in order.
+        self._gauges: Optional[Dict[str, Gauge]] = {}
         self._histograms: Dict[str, Histogram] = {}
         #: gauge name -> [(sample_time_ns, value)]
         self.series: Dict[str, List[Tuple[float, float]]] = {}
@@ -115,6 +127,7 @@ class MetricsRegistry:
 
     def gauge(self, name: str, fn: Callable[[], float]) -> Gauge:
         """Register gauge ``name`` backed by callable ``fn`` (once)."""
+        self._require_open("register a gauge")
         if name in self._gauges:
             raise ValueError(f"gauge {name!r} already registered")
         g = self._gauges[name] = Gauge(name, fn)
@@ -131,12 +144,29 @@ class MetricsRegistry:
     @property
     def gauges(self) -> Sequence[str]:
         """Registered gauge names, in registration order."""
-        return list(self._gauges)
+        return list(self.series)
+
+    # ---------------------------------------------------------- lifetime
+
+    def close(self) -> None:
+        """Drop every gauge's reader callable; keep all recorded data.
+
+        Gauge names, ``series``, counters, histograms and
+        ``samples_taken`` survive, and counters and histograms stay
+        writable.  Afterwards :meth:`sample_once`, :meth:`start_sampling`
+        and :meth:`gauge` raise.  Closing a closed registry does nothing.
+        """
+        self._gauges = None
+
+    def _require_open(self, what: str) -> None:
+        if self._gauges is None:
+            raise RuntimeError(f"metrics registry is closed: cannot {what}")
 
     # ---------------------------------------------------------- sampling
 
     def sample_once(self, now_ns: float) -> None:
         """Read every gauge and append to its time series."""
+        self._require_open("sample gauges")
         self.samples_taken += 1
         for name, gauge in self._gauges.items():
             self.series[name].append((now_ns, gauge.read()))
@@ -147,6 +177,7 @@ class MetricsRegistry:
         The tick re-arms itself only while the engine has *other* work
         pending, so a drained simulation terminates naturally.
         """
+        self._require_open("start sampling")
         if interval_ns <= 0:
             raise ValueError("interval_ns must be positive")
 
@@ -172,7 +203,7 @@ class MetricsRegistry:
         """JSON-serializable dump of every instrument and series stat."""
         return {
             "counters": {n: c.value for n, c in sorted(self._counters.items())},
-            "gauges": {n: self.series_stats(n) for n in sorted(self._gauges)},
+            "gauges": {n: self.series_stats(n) for n in sorted(self.series)},
             "histograms": {n: h.summary()
                            for n, h in sorted(self._histograms.items())},
             "samples_taken": self.samples_taken,

@@ -285,3 +285,102 @@ def test_finalize_is_idempotent():
     run(check=check)
     before = list(check.violations)
     assert check.finalize() == before
+
+
+# ------------------------------------------- rarely-fired hooks, both ways
+
+#: Sixteen one-core villages: a village backs up while its peers idle,
+#: so stealing happens at a light load.
+ONE_CORE_VILLAGES = replace(UMANYCORE, n_cores=16, cores_per_village=1,
+                            cores_per_queue=1, n_clusters=4,
+                            work_steal=True)
+
+
+def _steal_run(check):
+    from repro.systems.cluster import ClusterSimulation
+
+    return ClusterSimulation(ONE_CORE_VILLAGES, SOCIAL_NETWORK_APPS["Text"],
+                             rps_per_server=20_000, n_servers=1,
+                             duration_s=0.003, seed=7, check=check)
+
+
+def _reject_run(check):
+    """RQs of two entries and no NIC overflow buffer: a full RQ turns
+    an external request straight into an error response."""
+    from repro.systems.cluster import ClusterSimulation
+
+    sim = ClusterSimulation(replace(SMALL, rq_capacity=2),
+                            SOCIAL_NETWORK_APPS["Text"],
+                            rps_per_server=30_000, n_servers=1,
+                            duration_s=0.003, seed=7, check=check)
+    for server in sim.servers:
+        server.top_nic.buffer_capacity = 0
+    return sim
+
+
+def _abort_run(check):
+    """The hybrid fast path commits, then the flash crowd's ramp breaks
+    its guard."""
+    from repro.hybrid.config import HybridConfig
+    from repro.systems.cluster import ClusterSimulation
+
+    fast = HybridConfig(tol=0.5, windows=3, min_samples=5,
+                        window_ns=300_000.0, calibration_roots=10)
+    return ClusterSimulation(SMALL, SOCIAL_NETWORK_APPS["Text"],
+                             rps_per_server=16_000, n_servers=1,
+                             duration_s=0.01, seed=7, check=check,
+                             arrivals="flash", hybrid=fast)
+
+
+@pytest.mark.parametrize("build, seen", [
+    (_steal_run, lambda check: check._steals_seen),
+    (_reject_run, lambda check: check._nic_rejects),
+    (_reject_run, lambda check: sum(led.rejected
+                                    for led in check._services.values())),
+    (_abort_run, lambda check: check._hybrid_aborts),
+], ids=["rq_steal", "nic_reject", "ext_rejected", "hybrid_abort"])
+def test_rare_hook_fires_in_a_clean_strict_run(build, seen):
+    """Each hook fires at least once in a run that strict mode passes."""
+    check = CheckContext(strict=True)
+    build(check).run()                     # raises on any violation
+    assert seen(check) > 0
+    assert check.ok
+
+
+def _seed_steal(sim, status, own_village):
+    from repro.core import RequestStatus
+
+    village = sim.servers[0].villages[0]
+    rec = _rec()
+    rec.status = getattr(RequestStatus, status)
+    rec.village = village.village_id if own_village else 1
+    sim.check.rq_steal(village, rec)
+
+
+def _seed_overfull_nic(sim):
+    nic = sim.servers[0].top_nic
+    nic.buffer_capacity = 1
+    nic._buffer.extend([_rec(), _rec()])
+    sim.check.nic_reject(nic)
+
+
+@pytest.mark.parametrize("seed_fault, category, message", [
+    (lambda sim: _seed_steal(sim, "RUNNING", False), None, None),
+    (lambda sim: _seed_steal(sim, "READY", False), "steal", "not RUNNING"),
+    (lambda sim: _seed_steal(sim, "RUNNING", True), "steal",
+     "from its own village"),
+    (_seed_overfull_nic, "nic-buffer", "overflow buffer holds 2 > "
+                                       "capacity 1"),
+], ids=["clean-steal", "steal-not-running", "steal-own-village",
+        "nic-buffer-overfull"])
+def test_steal_and_nic_checks_name_seeded_violations(seed_fault, category,
+                                                     message):
+    check = CheckContext(strict=True)
+    sim = _steal_run(check)
+    seed_fault(sim)
+    if category is None:
+        assert check.ok
+        return
+    assert [v.category for v in check.violations] == [category]
+    with pytest.raises(CheckError, match=message):
+        check.raise_if_violations()

@@ -224,3 +224,39 @@ def test_sweep_command_caches_between_invocations(tmp_path, monkeypatch,
     warm = capsys.readouterr()
     assert "(cache)" in warm.err and "1 hits" in warm.err
     assert json.loads(warm.out) == json.loads(cold.out)
+
+
+def test_profile_command_prints_hot_functions_and_dumps_stats(tmp_path,
+                                                              capsys):
+    import pstats
+
+    out = tmp_path / "prof.pstats"
+    main(["profile", "--system", "umanycore", "--app", "Text",
+          "--rps", "5000", "--servers", "1", "--duration", "0.002",
+          "--seed", "3", "--top", "5", "--sort", "cumtime",
+          "--out", str(out)])
+    text = capsys.readouterr().out
+    assert "function calls" in text and "cumulative" in text
+    assert f"profile    : wrote {out}" in text
+    assert "P50 / P99" in text
+    assert pstats.Stats(str(out)).total_calls > 0
+
+
+def test_faults_command_reports_the_injected_schedule(capsys):
+    main(["faults", "--system", "umanycore", "--app", "Text",
+          "--rps", "5000", "--servers", "1", "--duration", "0.002",
+          "--fault-rate", "0", "--fail-village", "1",
+          "--fault-at-ms", "0.5", "--recover-at-ms", "1.0"])
+    text = capsys.readouterr().out
+    assert "availability" in text and "resilience :" in text
+    assert "injected   : 2/2 events (village=2)" in text
+
+
+def test_faults_command_json(capsys):
+    main(["faults", "--system", "umanycore", "--app", "Text",
+          "--rps", "5000", "--servers", "1", "--duration", "0.002",
+          "--fault-rate", "0", "--fail-village", "1",
+          "--fault-at-ms", "0.5", "--json"])
+    d = json.loads(capsys.readouterr().out)
+    assert d["faults"]["injected"]["by_kind"] == {"village": 1}
+    assert d["offered"] == d["completed"] + d["rejected"] + d["failed"]

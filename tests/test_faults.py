@@ -289,6 +289,53 @@ def test_hedging_counts_and_wasted_responses():
     assert result.completed > 0
 
 
+def test_core_outage_idles_the_village_and_recovery_kicks_it(monkeypatch):
+    """Every core of one village fails for a window: no segment starts on
+    a failed core, the village's queue backs up, the recovery event
+    kicks the village into running it, and the run drains with every
+    request accounted for."""
+    from repro.check import CheckContext
+
+    fail_ns, recover_ns, target = 1e6, 2e6, 1
+    n_cores = SMALL.cores_per_village
+    sched = FaultSchedule()
+    for core in range(n_cores):
+        sched.fail_core(0, target, core, fail_ns, recover_at_ns=recover_ns)
+    starts, kicks = [], []
+    execute, kick = Village._execute, Village._kick
+
+    def logged_execute(village, core, rec):
+        starts.append((village.engine.now, village.village_id,
+                       core.failed))
+        execute(village, core, rec)
+
+    def logged_kick(village):
+        kick(village)
+        if village.village_id == target:
+            kicks.append((village.engine.now,
+                          sum(c.busy for c in village.cores)))
+
+    monkeypatch.setattr(Village, "_execute", logged_execute)
+    monkeypatch.setattr(Village, "_kick", logged_kick)
+    check = CheckContext(strict=True)
+    sim = _small_sim(faults=sched, check=check)
+    backlog = []
+    sim.engine.schedule_at(recover_ns - 1.0, lambda: backlog.append(
+        sim.servers[0].villages[target].rq.occupancy))
+    result = sim.run()                     # strict: raises on violations
+
+    assert sim.engine.peek_time() is None  # drained, so strict balanced it
+    assert result.fault_stats["injected"]["by_kind"] == {"core": 2 * n_cores}
+    assert not any(failed for __, __, failed in starts)
+    assert backlog == [2]                  # work waited out the outage
+    # The first core back is kicked into the backlog at once, so the
+    # village's first segment after the failure starts at the recovery.
+    assert min(t for t, busy in kicks if t >= recover_ns and busy) \
+        == recover_ns
+    assert min(t for t, v, __ in starts if v == target and t > fail_ns) \
+        == recover_ns
+
+
 def test_run_result_dict_gains_fault_keys_only_in_fault_mode():
     clean = _small_sim().run().as_dict()
     faulted = _small_sim(

@@ -145,6 +145,36 @@ def test_sampler_rejects_bad_interval():
         MetricsRegistry().start_sampling(Engine(), 0.0)
 
 
+def test_closed_registry_keeps_its_data_and_reads_no_gauge():
+    eng = Engine()
+    reg = MetricsRegistry()
+    reg.gauge("b.depth", lambda: 2.0)
+    reg.gauge("a.util", lambda: 0.5)
+    reg.counter("rejected").inc(3)
+    reg.histogram("latency_ns").observe(40.0)
+    eng.schedule(500.0, lambda: None)
+    reg.start_sampling(eng, interval_ns=200.0)
+    eng.run()
+    series = {name: list(points) for name, points in reg.series.items()}
+    before = reg.as_dict()
+    assert before["samples_taken"] == 3
+
+    reg.close()
+    assert reg.gauges == ["b.depth", "a.util"]        # registration order
+    assert reg.series == series
+    assert reg.as_dict() == before
+    for call in (lambda: reg.sample_once(eng.now),
+                 lambda: reg.start_sampling(eng, interval_ns=200.0),
+                 lambda: reg.gauge("c.new", lambda: 0.0)):
+        with pytest.raises(RuntimeError, match="closed"):
+            call()
+    assert reg.as_dict() == before                    # nothing half-done
+    reg.close()                                       # a no-op
+    assert reg.as_dict() == before
+    reg.counter("rejected").inc()                     # data stays writable
+    assert reg.as_dict()["counters"]["rejected"] == 4
+
+
 # ----------------------------------------------------------------- export
 
 def _small_trace():
