@@ -159,6 +159,10 @@ class NullCheckContext:
 #: Shared default instance; safe because NullCheckContext is stateless.
 NULL_CHECK = NullCheckContext()
 
+#: The types a strict check accepts as the engine clock (see
+#: :meth:`CheckContext.clock_advance`).
+_CLOCK_TYPES = (float, int)
+
 
 @dataclass
 class _RqLedger:
@@ -287,6 +291,14 @@ class CheckContext(NullCheckContext):
             self.violation(
                 "clock", f"engine clock moved backwards: {old_ns} -> "
                 f"{new_ns}", where="engine", time_ns=old_ns)
+        if self.strict and type(new_ns) not in _CLOCK_TYPES:
+            # A numpy scalar on the clock is exact but slow: every heap
+            # comparison and time sum after it runs numpy's scalar code.
+            self.violation(
+                "clock", f"engine clock set to a "
+                f"{type(new_ns).__module__}.{type(new_ns).__name__} "
+                f"({new_ns!r}), not a Python float", where="engine",
+                time_ns=old_ns)
         self._last_now = max(self._last_now, new_ns)
 
     # -------------------------------------------------------- request queue

@@ -86,7 +86,9 @@ class SchedulerDomain:
 
     Charges save/restore costs and, for software schedulers, per-op
     scheduler costs — serialized through the domain's dedicated scheduler
-    core when ``centralized``.
+    core when ``centralized``.  ``rng`` draws the jitter: anything with a
+    ``random()`` method (a :class:`~repro.sim.rng.ScalarDraws` in a
+    server, or a ``numpy.random.Generator``).
     """
 
     def __init__(self, engine: Engine, config: ContextSwitchConfig,

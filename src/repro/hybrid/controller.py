@@ -39,6 +39,7 @@ import numpy as np
 from repro.hybrid.config import HybridConfig
 from repro.hybrid.detector import SteadyStateDetector
 from repro.hybrid.model import EmpiricalDist, MGkModel, service_demand_ns
+from repro.sim.rng import ScalarDraws
 
 #: Controller lifecycle states.
 DETECTING, CALIBRATING, COMMITTED = "detecting", "calibrating", "committed"
@@ -51,7 +52,7 @@ class HybridController:
         self.sim = sim
         self.cfg = config
         self.engine = sim.engine
-        self.rng = sim.streams.stream("hybrid")
+        self.draws = ScalarDraws(sim.streams.stream("hybrid"))
         n_villages = max(1, sim.config.n_queues) * sim.n_servers
         self.detector = SteadyStateDetector(
             config.tol, config.windows,
@@ -334,7 +335,7 @@ class HybridController:
         root = self.sim.app.root
         if root not in self.committed:
             return False
-        latency = self._dists[root].sample(self.rng)
+        latency = self._dists[root].sample(self.draws)
         delay = max(0.0, arrival_ns + latency - self.engine.now)
         self.engine.schedule(delay, self._complete_root, server, arrival_ns)
         self.roots_elided += 1
@@ -363,7 +364,7 @@ class HybridController:
         self._elided_estimate += max(0.0, self._events_per_call - 1.0)
         if self.sim.check.enabled:
             self.sim.check.hybrid_elide_call(target)
-        latency = self._dists[target].sample(self.rng)
+        latency = self._dists[target].sample(self.draws)
 
         def respond() -> None:
             village.make_ready(parent)

@@ -33,6 +33,9 @@ class EmpiricalDist:
         if len(samples) == 0:
             raise ValueError("EmpiricalDist needs at least one sample")
         self._sorted = np.sort(np.asarray(samples, dtype=float))
+        #: The same values as Python floats: :meth:`sample` runs per
+        #: elided request and must hand the engine a ``float``.
+        self._values = self._sorted.tolist()
 
     def __len__(self) -> int:
         return int(self._sorted.size)
@@ -52,14 +55,20 @@ class EmpiricalDist:
     def quantile(self, q: float) -> float:
         return float(np.quantile(self._sorted, q))
 
-    def sample(self, rng: np.random.Generator) -> float:
-        """Draw one value by interpolated inverse-CDF over the samples."""
-        u = rng.random()
-        pos = u * (self._sorted.size - 1)
+    def sample(self, rng) -> float:
+        """Draw one value by interpolated inverse-CDF over the samples.
+
+        ``rng`` is anything with a ``random()`` method: a
+        ``numpy.random.Generator`` or a
+        :class:`~repro.sim.rng.ScalarDraws` on one.
+        """
+        values = self._values
+        last = len(values) - 1
+        pos = rng.random() * last
         lo = int(pos)
-        hi = min(lo + 1, self._sorted.size - 1)
+        hi = min(lo + 1, last)
         frac = pos - lo
-        return float(self._sorted[lo] * (1.0 - frac) + self._sorted[hi] * frac)
+        return values[lo] * (1.0 - frac) + values[hi] * frac
 
 
 class MGkModel:

@@ -131,22 +131,21 @@ class HierarchicalLeafSpine(Topology):
         src_pod, __ = self._parse_leaf(src)
         dst_pod, __ = self._parse_leaf(dst)
         paths: List[List[str]] = []
+        # Node names come from the constructor's stage tables: this runs
+        # per message while links are failed.
         if src_pod == dst_pod:
-            for s in range(self.spines_per_pod):
-                spine = self.spine_name(src_pod, s)
+            for spine in self._pod_spines[src_pod]:
                 if ok(src, spine) and ok(spine, dst):
                     paths.append([src, spine, dst])
             return paths
-        for up in range(self.spines_per_pod):
-            up_spine = self.spine_name(src_pod, up)
+        down_spines = self._pod_spines[dst_pod]
+        for up_spine in self._pod_spines[src_pod]:
             if not ok(src, up_spine):
                 continue
-            for c in range(self.n_core):
-                core = self.core_name(c)
+            for core in self._cores:
                 if not ok(up_spine, core):
                     continue
-                for down in range(self.spines_per_pod):
-                    down_spine = self.spine_name(dst_pod, down)
+                for down_spine in down_spines:
                     if ok(core, down_spine) and ok(down_spine, dst):
                         paths.append(
                             [src, up_spine, core, down_spine, dst])

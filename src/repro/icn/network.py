@@ -16,6 +16,7 @@ import numpy as np
 from repro.icn.topology import NoPathError, Topology
 from repro.sim.engine import Engine
 from repro.sim.resource import Resource
+from repro.sim.rng import ScalarDraws
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,8 @@ class _EcmpPair:
     stage ``j``'s node ``a`` to stage ``j + 1``'s node ``b``, and
     ``last[k]`` the link out of the final stage's node ``k``.
     :meth:`links` indexes them with the message's own draws — one
-    ``rng.integers(width)`` per stage, in stage order, the calls
+    :meth:`~repro.sim.rng.ScalarDraws.below` per stage, in stage order,
+    each equal to the ``rng.integers(width)`` that
     :func:`~repro.icn.topology.draw_path` makes — so no per-path object
     exists and every RNG stream is unchanged.  ``first`` and ``mids``
     are the network's shared stage tables (:meth:`Network._stage_table`).
@@ -163,26 +165,26 @@ class _EcmpPair:
                           for cur, nxt in zip(stages, stages[1:]))
         self.last = tuple(link(n, tail[0]) for n in stages[-1])
 
-    def links(self, rng: Optional[np.random.Generator]) -> tuple:
+    def links(self, draws: Optional[ScalarDraws]) -> tuple:
         """One message's links, from its own per-stage draws."""
         widths = self.widths
-        if rng is None:
+        if draws is None:
             ks = [0] * len(widths)
         else:
-            integers = rng.integers
+            below = draws.below
             # Unrolled for the two shapes that exist (leaf-spine intra-
             # and inter-pod); the generic tail keeps any plan correct.
             if len(widths) == 3:
-                k0 = int(integers(widths[0]))
-                k1 = int(integers(widths[1]))
-                k2 = int(integers(widths[2]))
+                k0 = below(widths[0])
+                k1 = below(widths[1])
+                k2 = below(widths[2])
                 mid0, mid1 = self.mids
                 return self.head + (self.first[k0], mid0[k0][k1],
                                     mid1[k1][k2], self.last[k2]) + self.tail
             if len(widths) == 1:
-                k = int(integers(widths[0]))
+                k = below(widths[0])
                 return self.head + (self.first[k], self.last[k]) + self.tail
-            ks = [int(integers(w)) for w in widths]
+            ks = [below(w) for w in widths]
         return (self.head + (self.first[ks[0]],)
                 + tuple(mid[a][b] for mid, a, b in zip(self.mids, ks, ks[1:]))
                 + (self.last[ks[-1]],) + self.tail)
@@ -203,6 +205,8 @@ class Network:
         self.topology = topology
         self.config = config or NetworkConfig()
         self.rng = rng
+        #: Per-message ECMP draws, on ``rng``'s own state.
+        self._draws = ScalarDraws(rng) if rng is not None else None
         self._links: Dict[Tuple[str, str], _Link] = {}
         #: Healthy routes compiled once per ``(src, dst)`` pair on its
         #: first send: a link tuple for a fixed path, an
@@ -267,7 +271,7 @@ class Network:
             pair = self._compile_pair(src, dst)
         if pair.__class__ is tuple:
             return pair
-        return pair.links(self.rng)
+        return pair.links(self._draws)
 
     def send(self, src: str, dst: str, size_bytes: int,
              on_delivered: Callable[[], None], rec=None,

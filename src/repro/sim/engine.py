@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import islice
-from operator import gt
+from operator import le
 from typing import Any, Callable, Iterable, Optional
 
 from repro.check.context import NULL_CHECK
@@ -111,8 +111,8 @@ class Engine:
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` ns from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
+        if not delay >= 0:              # also refuses NaN
+            raise ValueError(f"negative or NaN delay: {delay}")
         seq = self._seq
         self._seq = seq + 1
         ev = [self.now + delay, seq, fn, args]
@@ -121,8 +121,9 @@ class Engine:
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at an absolute timestamp ``time`` ns."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
+        if not time >= self.now:        # also refuses NaN
+            raise ValueError(f"cannot schedule in the past (or at NaN): "
+                             f"{time} < {self.now}")
         seq = self._seq
         self._seq = seq + 1
         ev = [time, seq, fn, args]
@@ -157,7 +158,7 @@ class Engine:
         """Schedule ``fn(*args)`` at each timestamp of a sorted row.
 
         ``times`` must be non-decreasing and ``>= now``; a descending
-        pair raises ValueError here, at the call.  With
+        pair or a NaN raises ValueError here, at the call.  With
         ``append_time=True`` each callback receives its own firing time
         as an extra trailing argument: ``fn(*args, t)``.
 
@@ -171,15 +172,17 @@ class Engine:
         times = list(times)
         if not times:
             return
-        if times[0] < self.now:
-            raise ValueError(
-                f"cannot schedule in the past: {times[0]} < {self.now}")
-        if any(map(gt, times, islice(times, 1, None))):
+        if not times[0] >= self.now:
+            raise ValueError(f"cannot schedule in the past (or at NaN): "
+                             f"{times[0]} < {self.now}")
+        # ``<=`` on each consecutive pair: a NaN fails it on either side.
+        if not all(map(le, times, islice(times, 1, None))):
             k = next(k for k in range(1, len(times))
-                     if times[k] < times[k - 1])
+                     if not times[k - 1] <= times[k])
             raise ValueError(
-                f"batch times must be non-decreasing: times[{k}] = "
-                f"{times[k]} < times[{k - 1}] = {times[k - 1]}")
+                f"batch times must be non-decreasing and not NaN: "
+                f"times[{k}] = {times[k]} after times[{k - 1}] = "
+                f"{times[k - 1]}")
         seq = self._seq
         self._seq = seq + len(times)
         row = _Row(self._heap, times, seq, fn, args, append_time)

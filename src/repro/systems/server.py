@@ -33,6 +33,7 @@ from repro.net.fabric import InterServerFabric, StorageBackend
 from repro.net.nic import LNic, NicConfig, RNic, TopLevelNic
 from repro.sim.engine import Engine
 from repro.sim.resource import Resource
+from repro.sim.rng import ScalarDraws
 from repro.systems.configs import SystemConfig
 from repro.workloads.spec import AppSpec, ServiceSpec
 
@@ -54,6 +55,9 @@ class Server:
         self.config = config
         self.apps = apps
         self.rng = rng
+        #: Per-message scalar draws on ``rng``'s own state (state-fetch
+        #: sources, callee picks, scheduler jitter).
+        self.draws = ScalarDraws(rng)
         self.fabric = fabric
         self.storage = storage
         self.peers: List["Server"] = [self]
@@ -168,7 +172,7 @@ class Server:
         # (Section 4.4: Shinjuku on a dedicated core for the whole chip).
         shared_dom = SchedulerDomain(
             self.engine, cfg.cs, cfg.core.freq_ghz,
-            name=f"s{self.server_id}.sched", rng=self.rng) \
+            name=f"s{self.server_id}.sched", rng=self.draws) \
             if cfg.cs.centralized and not cfg.per_queue_scheduler else None
         from repro.sched.policies import get_policy
         from repro.sched.stealing import get_steal_policy
@@ -178,7 +182,7 @@ class Server:
         for v in range(cfg.n_queues):
             dom = shared_dom or SchedulerDomain(
                 self.engine, cfg.cs, cfg.core.freq_ghz,
-                name=f"s{self.server_id}.v{v}", rng=self.rng)
+                name=f"s{self.server_id}.v{v}", rng=self.draws)
             village = Village(self.engine, v, cfg.cores_per_queue, dom, self,
                               rq_capacity=rq_capacity,
                               steal_overhead_ns=200.0,
@@ -323,15 +327,16 @@ class Server:
             # Lazily drawn so the locality draws interleave with each
             # message's ECMP picks on this server's RNG stream exactly
             # as the pre-batch send loop did.
-            rng = self.rng
+            draws = self.draws
+            random, below = draws.random, draws.below
             frac = cfg.local_state_fraction
             n_clusters = cfg.n_clusters
             leaf = self._leaf
             for __ in range(n_msgs):
-                if rng.random() < frac:
+                if random() < frac:
                     yield leaf(local_cluster)
                 else:
-                    yield leaf(int(rng.integers(n_clusters)))
+                    yield leaf(below(n_clusters))
 
         self.network.send_fanout(sources(), dst, msg_bytes, arrived, rec=rec)
 
@@ -424,6 +429,7 @@ class Server:
                           at_rnic, rec=rec)
 
     def _pick_callee(self, target: str) -> "Server":
+        draws = self.draws
         plan = self.placement_plan
         if plan is not None:
             hosts = plan.servers_for(target)
@@ -433,15 +439,15 @@ class Server:
                 self.rpc_proxied += 1
                 if len(hosts) == 1:
                     return self.peers[hosts[0]]
-                return self.peers[hosts[int(self.rng.integers(len(hosts)))]]
-            if len(hosts) == 1 or self.rng.random() < self.config.locality:
+                return self.peers[hosts[draws.below(len(hosts))]]
+            if len(hosts) == 1 or draws.random() < self.config.locality:
                 return self
             others = [sid for sid in hosts if sid != self.server_id]
-            return self.peers[others[int(self.rng.integers(len(others)))]]
-        if len(self.peers) == 1 or self.rng.random() < self.config.locality:
+            return self.peers[others[draws.below(len(others))]]
+        if len(self.peers) == 1 or draws.random() < self.config.locality:
             return self
         others = [p for p in self.peers if p is not self]
-        return others[int(self.rng.integers(len(others)))]
+        return others[draws.below(len(others))]
 
     def _send_call(self, village: Village, child: RequestRecord,
                    callee: "Server", target: str,

@@ -59,6 +59,12 @@ class TraceReplay:
 
     def __post_init__(self):
         arr = np.asarray(self.times_ns, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            # A NaN would be dropped silently by generate()'s horizon cut.
+            i = int(bad[0])
+            raise ValueError(f"trace times must be finite: times_ns[{i}] "
+                             f"= {arr[i]}")
         if len(arr) and (np.diff(arr) < 0).any():
             raise ValueError("trace times must be non-decreasing")
         if len(arr) and arr[0] < 0:

@@ -66,7 +66,8 @@ class ServiceSpec:
             return [mean] * self.n_segments
         sigma2 = math.log(1.0 + self.segment_cv ** 2)
         mu = math.log(mean) - sigma2 / 2.0
-        return list(rng.lognormal(mu, math.sqrt(sigma2), size=self.n_segments))
+        return rng.lognormal(mu, math.sqrt(sigma2),
+                             size=self.n_segments).tolist()
 
 
 @dataclass(frozen=True)

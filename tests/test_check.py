@@ -67,6 +67,47 @@ def test_clock_advance_flags_backwards_motion():
     assert any(v.category == "clock" for v in check.violations)
 
 
+def test_strict_clock_check_names_a_numpy_scalar():
+    """One ``np.float64`` delay puts a numpy scalar on the clock; a strict
+    check names it, a non-strict one only checks the order."""
+    import numpy as np
+
+    from repro.sim import Engine
+
+    for strict in (True, False):
+        eng = Engine()
+        eng.check = check = CheckContext(strict=strict)
+        eng.schedule(1.0, lambda: None)
+        eng.schedule(np.float64(2.0), lambda: None)
+        eng.schedule_at(3, lambda: None)             # an int is fine
+        eng.run()
+        clock = [v for v in check.violations if v.category == "clock"]
+        if strict:
+            assert len(clock) == 1
+            assert "numpy.float64" in clock[0].message
+        else:
+            assert clock == []
+
+
+def test_strict_run_names_numpy_segment_samples(monkeypatch):
+    """Mutation: segment samples handed out as ``numpy.float64`` (the
+    ``list(ndarray)`` form) fail a strict checked run."""
+    import math
+
+    from repro.workloads.spec import ServiceSpec
+
+    def numpy_segments(self, rng):
+        sigma2 = math.log(1.0 + self.segment_cv ** 2)
+        mu = math.log(self.segment_instructions) - sigma2 / 2.0
+        return list(rng.lognormal(mu, math.sqrt(sigma2),
+                                  size=self.n_segments))
+
+    run(check=CheckContext(strict=True))
+    monkeypatch.setattr(ServiceSpec, "sample_segments", numpy_segments)
+    with pytest.raises(CheckError, match="numpy.float64"):
+        run(check=CheckContext(strict=True))
+
+
 def test_report_summarizes_both_outcomes():
     check = CheckContext(strict=False)
     check.clock_advance(0.0, 1.0)

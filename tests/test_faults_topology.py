@@ -47,6 +47,34 @@ def test_leafspine_equal_cost_path_counts():
     assert all(topo.validate_path(p) for p in cross)
 
 
+def test_leafspine_equal_cost_paths_in_name_order_under_failures():
+    """The enumeration yields every surviving up-spine x core x
+    down-spine path in index order, the order the ECMP draw indexes."""
+    import numpy as np
+
+    topo = HierarchicalLeafSpine(n_pods=3, leaves_per_pod=2,
+                                 spines_per_pod=3, n_core=4)
+    rng = np.random.default_rng(11)
+    links = fabric_links(topo)
+    for k in rng.choice(len(links), size=6, replace=False):
+        topo.fail_link(*links[int(k)])
+    leaves = [topo.leaf(i) for i in range(topo.n_leaves)]
+    for src, dst in itertools.permutations(leaves, 2):
+        sp, dp = int(src[4]), int(dst[4])
+        if sp == dp:
+            want = [[src, topo.spine_name(sp, s), dst]
+                    for s in range(topo.spines_per_pod)]
+        else:
+            want = [[src, topo.spine_name(sp, u), topo.core_name(c),
+                     topo.spine_name(dp, d), dst]
+                    for u in range(topo.spines_per_pod)
+                    for c in range(topo.n_core)
+                    for d in range(topo.spines_per_pod)]
+        assert topo.equal_cost_paths(src, dst) == want
+        assert topo.equal_cost_paths(src, dst, alive_only=True) == [
+            p for p in want if path_alive(topo, p)]
+
+
 def test_leafspine_alive_only_filters_failed_paths():
     topo = HierarchicalLeafSpine(n_pods=1, leaves_per_pod=2,
                                  spines_per_pod=3, n_core=1)

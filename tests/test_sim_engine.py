@@ -155,6 +155,35 @@ def test_schedule_at_batch_descending_times_rejected(eng):
     assert eng._heap[0][1] == 0          # no seqs were reserved either
 
 
+NAN = float("nan")
+
+
+def _nothing_scheduled(eng):
+    assert eng.peek_time() is None and eng._seq == 0
+
+
+def test_nan_delay_rejected(eng):
+    """A NaN entry compares false both ways and breaks the heap order,
+    so it is refused at the call."""
+    with pytest.raises(ValueError, match="NaN"):
+        eng.schedule(NAN, lambda: None)
+    _nothing_scheduled(eng)
+
+
+def test_nan_absolute_time_rejected(eng):
+    with pytest.raises(ValueError, match="NaN"):
+        eng.schedule_at(NAN, lambda: None)
+    _nothing_scheduled(eng)
+
+
+@pytest.mark.parametrize("times", [[NAN], [NAN, 1.0], [1.0, NAN],
+                                   [1.0, 2.0, NAN, 3.0]])
+def test_schedule_at_batch_nan_time_rejected(eng, times):
+    with pytest.raises(ValueError, match="NaN"):
+        eng.schedule_at_batch(times, lambda: None)
+    _nothing_scheduled(eng)
+
+
 def test_schedule_at_batch_row_holds_one_heap_entry(eng):
     """A batch row keeps only its next entry queued, however long it is."""
     fired = []

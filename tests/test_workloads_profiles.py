@@ -171,6 +171,18 @@ def test_replay_validation_and_resolution():
     assert resolve_trace(None) is None
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_replay_rejects_non_finite_times(tmp_path, bad):
+    """A non-finite time would never fall inside the horizon, so the run
+    would silently offer fewer arrivals than the file has lines."""
+    path = tmp_path / "trace.csv"
+    path.write_text(f"0\n100000\n{bad}\n300000\n")
+    with pytest.raises(ValueError, match=r"times_ns\[2\]"):
+        load_trace(path)
+    with pytest.raises(ValueError, match=r"times_ns\[0\]"):
+        TraceReplay(times_ns=(float(bad),))
+
+
 def test_replay_cluster_run_offers_exactly_the_trace():
     from repro.check import CheckContext
 
