@@ -15,6 +15,7 @@ retry machinery is what gets them re-served elsewhere.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, List, Sequence
 
 from repro.faults.schedule import FaultEvent, FaultSchedule
@@ -33,6 +34,11 @@ class FaultInjector:
             servers: The cluster's server objects, indexed by server id.
             schedule: The fault schedule to apply (call :meth:`install`
                 before running the engine).
+
+        Raises:
+            ValueError: an event targets a server, village, core, NIC or
+                link the cluster does not have — raised here, before
+                any event runs, rather than at the fault's time.
         """
         self.engine = engine
         self.servers = list(servers)
@@ -40,6 +46,35 @@ class FaultInjector:
         self.injected = 0
         self.by_kind: Dict[str, int] = {}
         self._installed = False
+        for event in schedule.events:
+            problem = self._target_problem(event)
+            if problem:
+                raise ValueError(f"bad fault target in {event}: {problem}")
+
+    def _target_problem(self, event: FaultEvent) -> str:
+        """Why ``event`` cannot be applied to this cluster ('' if it can)."""
+        arity = {"village": 2, "core": 3, "link": 3, "nic": 3}[event.kind]
+        target = event.target
+        if len(target) != arity:
+            return f"a {event.kind} target has {arity} fields"
+        problem = _index_problem("server", target[0], len(self.servers))
+        if problem:
+            return problem
+        server = self.servers[target[0]]
+        if event.kind == "link":
+            __, u, v = target
+            if not server.topology.has_link(u, v):
+                return f"server {target[0]} has no ICN link {u!r}->{v!r}"
+            return ""
+        problem = _index_problem("village", target[1], len(server.villages))
+        if problem or event.kind == "village":
+            return problem
+        if event.kind == "core":
+            return _index_problem(
+                "core", target[2], len(server.villages[target[1]].cores))
+        if target[2] not in ("lnic", "rnic"):
+            return f"NIC must be 'lnic' or 'rnic', got {target[2]!r}"
+        return ""
 
     # ------------------------------------------------------------- install
 
@@ -54,7 +89,7 @@ class FaultInjector:
     # -------------------------------------------------------------- apply
 
     def _apply(self, event: FaultEvent) -> None:
-        server = self._server(event.target[0])
+        server = self.servers[event.target[0]]
         handler = getattr(self, f"_apply_{event.kind}")
         handler(server, event)
         self.injected += 1
@@ -62,14 +97,6 @@ class FaultInjector:
         check = self.engine.check
         if check.enabled:
             check.fault_applied(event, self.engine.now)
-
-    def _server(self, server_id: int):
-        try:
-            return self.servers[server_id]
-        except IndexError:
-            raise ValueError(
-                f"fault targets server {server_id} but the cluster has "
-                f"{len(self.servers)} servers") from None
 
     def _apply_village(self, server, event: FaultEvent) -> None:
         __, village_id = event.target
@@ -119,6 +146,17 @@ class FaultInjector:
         return {"injected": self.injected, "by_kind": dict(self.by_kind),
                 "scheduled": len(self.schedule),
                 "detection_ns": self.schedule.detection_ns}
+
+
+def _index_problem(what: str, index, count: int) -> str:
+    """Why ``index`` is not one of ``count`` components ('' if it is)."""
+    try:
+        index = operator.index(index)
+    except TypeError:
+        return f"{what} index {index!r} is not an integer"
+    if not 0 <= index < count:
+        return f"{what} {index} is out of range (there are {count})"
+    return ""
 
 
 def fault_inventory(servers: Sequence) -> Dict[str, List]:

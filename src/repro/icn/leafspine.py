@@ -9,11 +9,9 @@ multiple equal-cost choices (ECMP), which is what suppresses contention.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-import numpy as np
-
-from repro.icn.topology import Topology, draw_path
+from repro.icn.topology import Topology, pick_path
 
 
 class HierarchicalLeafSpine(Topology):
@@ -25,9 +23,10 @@ class HierarchicalLeafSpine(Topology):
         if min(n_pods, leaves_per_pod, spines_per_pod) < 1 or n_core < 1:
             raise ValueError("all dimensions must be >= 1")
         super().__init__(name=f"leafspine{n_pods}x{leaves_per_pod}")
-        #: ECMP hardware re-picks among surviving equal-cost paths, and
-        #: the base class falls back to BFS when none survives — the
-        #: "many redundant equal-cost paths" resilience claim (Sec 4.2).
+        #: ECMP hardware re-picks among surviving equal-cost paths
+        #: (compiled per failure set by the base class), which falls
+        #: back to BFS when none survives — the "many redundant
+        #: equal-cost paths" resilience claim (Sec 4.2).
         self.adaptive = True
         self.n_pods = n_pods
         self.leaves_per_pod = leaves_per_pod
@@ -79,30 +78,8 @@ class HierarchicalLeafSpine(Topology):
             raise IndexError(f"leaf index {index} out of range")
         return self._leaf_names[index]
 
-    def _route(self, src: str, dst: str,
-               rng: Optional[np.random.Generator] = None) -> List[str]:
-        """ECMP routing: random equal-cost spine/core picks per message.
-
-        With failed links present, the pick is made among the *surviving*
-        equal-cost paths (the hardware's link-liveness mask); the healthy
-        fast path below is untouched so fault-free runs consume the RNG
-        identically to pre-fault builds.
-        """
-        if src == dst:
-            return [src]
-        if self._failed_links:
-            paths = self.equal_cost_paths(src, dst, alive_only=True)
-            if not paths:
-                # Every minimal path lost a link; the base class's
-                # adaptive BFS finds a (longer) detour or raises.
-                return self.shortest_path(src, dst)
-            if rng is None:
-                return paths[0]
-            return paths[int(rng.integers(len(paths)))]
-        return draw_path(self._route_plan(src, dst), rng)
-
     def _route_plan(self, src: str, dst: str):
-        """ECMP plan of the healthy route between two distinct leaves.
+        """ECMP plan of the route between two distinct leaves.
 
         One stage, the pod's spines, within a pod; up-spine → core →
         down-spine between pods.  Draw order per message is the stage
@@ -119,37 +96,19 @@ class HierarchicalLeafSpine(Topology):
 
     def equal_cost_paths(self, src: str, dst: str,
                          alive_only: bool = False) -> List[List[str]]:
-        """Every minimal ECMP path between two leaves.
+        """Every minimal ECMP path between two leaves, in the order the
+        ECMP draw indexes them (up-spine, then core, then down-spine).
 
         ``alive_only`` filters to paths whose links all survive the
         current failure set — the redundancy that makes single-link
         failures invisible here while deterministic fabrics blackhole.
         """
-        if src == dst:
+        plan = self._route_plan(src, dst)
+        if plan is None:
             return [[src]]
-        ok = self.link_alive if alive_only else self.has_link
-        src_pod, __ = self._parse_leaf(src)
-        dst_pod, __ = self._parse_leaf(dst)
-        paths: List[List[str]] = []
-        # Node names come from the constructor's stage tables: this runs
-        # per message while links are failed.
-        if src_pod == dst_pod:
-            for spine in self._pod_spines[src_pod]:
-                if ok(src, spine) and ok(spine, dst):
-                    paths.append([src, spine, dst])
-            return paths
-        down_spines = self._pod_spines[dst_pod]
-        for up_spine in self._pod_spines[src_pod]:
-            if not ok(src, up_spine):
-                continue
-            for core in self._cores:
-                if not ok(up_spine, core):
-                    continue
-                for down_spine in down_spines:
-                    if ok(core, down_spine) and ok(down_spine, dst):
-                        paths.append(
-                            [src, up_spine, core, down_spine, dst])
-        return paths
+        choices = (self._alive_choices(src, dst) if alive_only
+                   else self._all_choices(plan[1]))
+        return [pick_path(plan, ks) for ks in choices]
 
     @staticmethod
     def _parse_leaf(node: str):

@@ -13,7 +13,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.icn.topology import NoPathError, Topology
+from repro.icn.topology import NoPathError, Topology, Unroutable, pick_path
 from repro.sim.engine import Engine
 from repro.sim.resource import Resource
 from repro.sim.rng import ScalarDraws
@@ -185,9 +185,68 @@ class _EcmpPair:
                 k = below(widths[0])
                 return self.head + (self.first[k], self.last[k]) + self.tail
             ks = [below(w) for w in widths]
+        return self.at(ks)
+
+    def at(self, ks) -> tuple:
+        """The links of the path that takes node ``ks[j]`` of stage
+        ``j``."""
+        if len(ks) == 3:
+            a, c, b = ks
+            mid0, mid1 = self.mids
+            return self.head + (self.first[a], mid0[a][c], mid1[c][b],
+                                self.last[b]) + self.tail
         return (self.head + (self.first[ks[0]],)
                 + tuple(mid[a][b] for mid, a, b in zip(self.mids, ks, ks[1:]))
                 + (self.last[ks[-1]],) + self.tail)
+
+
+class _PlanLinks:
+    """Stage lookup for a pair with no healthy :class:`_EcmpPair`: its
+    links are looked up per message, so only walked links become
+    resources (a degraded-only pair stays out of the healthy tables)."""
+
+    __slots__ = ("link", "plan")
+
+    def __init__(self, net: "Network", plan: tuple):
+        self.link = net._link
+        self.plan = plan
+
+    def at(self, ks) -> tuple:
+        """The links of the path that takes node ``ks[j]`` of stage
+        ``j``."""
+        return _chain(self.link, pick_path(self.plan, ks))
+
+
+class _DegradedEcmp:
+    """A multi-path pair under link failures: one draw among the
+    surviving stage-index combinations ``alive`` (shared by the pairs on
+    the same two fabric nodes), then the pair's stage tables."""
+
+    __slots__ = ("alive", "stages")
+
+    def __init__(self, alive: tuple, stages):
+        self.alive = alive
+        self.stages = stages
+
+    def links(self, draws: Optional[ScalarDraws]) -> tuple:
+        """One message's links, from its single draw."""
+        alive = self.alive
+        if draws is None:
+            return self.stages.at(alive[0])
+        return self.stages.at(alive[draws.below(len(alive))])
+
+
+class _Dropped(Unroutable):
+    """A pair with no route: the message makes the draw ``width``
+    names, then is dropped."""
+
+    __slots__ = ()
+
+    def links(self, draws: Optional[ScalarDraws]) -> tuple:
+        """Make the draw, then raise :class:`NoPathError`."""
+        if draws is not None and self.width:
+            draws.below(self.width)
+        raise NoPathError(self.reason)
 
 
 def _chain(link: Callable[[str, str], Resource], nodes: list) -> tuple:
@@ -214,6 +273,13 @@ class Network:
         #: topology's route cache.
         self._pairs: Dict[Tuple[str, str], object] = {}
         topology._route_dependents.append(self._pairs)
+        #: Routes under the current failure set, compiled per pair on
+        #: its first degraded send: a link tuple, a
+        #: :class:`_DegradedEcmp` or a :class:`_Dropped`.  Cleared with
+        #: the topology's degraded tables (every link failure, recovery
+        #: or addition), and kept apart from ``_pairs``.
+        self._degraded: Dict[Tuple[str, str], object] = {}
+        topology._degraded_dependents.append(self._degraded)
         #: Stage-to-stage link tables keyed by their node names, shared
         #: by every pair whose routes cross the same two stages.
         self._stage_tables: Dict[tuple, tuple] = {}
@@ -258,17 +324,37 @@ class Network:
         self._pairs[(src, dst)] = pair
         return pair
 
+    def _compile_degraded(self, src: str, dst: str):
+        """Compile and store one pair's route under the current failure
+        set."""
+        entry = self.topology.degraded_entry(src, dst)
+        if entry.__class__ is list:
+            pair = _chain(self._link, entry)
+        elif entry.__class__ is Unroutable:
+            pair = _Dropped(entry.reason, entry.width)
+        else:
+            head, stages, tail, alive = entry
+            healthy = self._pairs.get((src, dst))
+            if healthy.__class__ is not _EcmpPair:
+                healthy = _PlanLinks(self, (head, stages, tail))
+            pair = _DegradedEcmp(alive, healthy)
+        self._degraded[(src, dst)] = pair
+        return pair
+
     def _route_links(self, src: str, dst: str) -> tuple:
-        """This message's links: drawn from the pair table while the
-        fabric is healthy, else from a per-message degraded path that is
-        not stored.  Raises :class:`NoPathError` when there is no route.
+        """This message's links, from the pair's compiled entry: the
+        healthy table while no link is failed, else the table of the
+        current failure set.  Raises :class:`NoPathError` when there is
+        no route.
         """
-        topo = self.topology
-        if topo._failed_links:
-            return _chain(self._link, topo.path(src, dst, self.rng))
-        pair = self._pairs.get((src, dst))
-        if pair is None:
-            pair = self._compile_pair(src, dst)
+        if self.topology._failed_links:
+            pair = self._degraded.get((src, dst))
+            if pair is None:
+                pair = self._compile_degraded(src, dst)
+        else:
+            pair = self._pairs.get((src, dst))
+            if pair is None:
+                pair = self._compile_pair(src, dst)
         if pair.__class__ is tuple:
             return pair
         return pair.links(self._draws)
@@ -339,13 +425,12 @@ class Network:
         order (and hence every downstream event) is byte-identical.
         The batch hoists the per-send constant work (hop-time lookup,
         flag slots, counter loads) out of the loop; tracing, invariant
-        checking, degraded topologies and contention-free mode fall
-        back to plain sends, which keeps the fast path small.
+        checking and contention-free mode fall back to plain sends,
+        which keeps the fast path small.
         """
         engine = self.engine
-        topo = self.topology
-        if (topo._failed_links or engine.tracer.enabled
-                or engine.check.enabled or not self.config.contention):
+        if (engine.tracer.enabled or engine.check.enabled
+                or not self.config.contention):
             send = self.send
             for src in sources:
                 send(src, dst, size_bytes, on_each, rec=rec)

@@ -253,10 +253,16 @@ class ClusterSimulation:
 
         Lets callers inspect the built cluster (topology node names, the
         village inventory) to pick fault targets, then install the
-        schedule — must be called before :meth:`run`.
+        schedule — must be called before :meth:`run`.  Raises
+        ``ValueError``, changing nothing, when an event targets a
+        component the cluster does not have.
         """
-        self.faults = faults if faults else None
-        if self.faults is None and resilience is None:
+        faults = faults if faults else None
+        # Built first: it checks every target before anything changes.
+        injector = (FaultInjector(self.engine, self.servers, faults)
+                    if faults is not None else None)
+        self.faults = faults
+        if faults is None and resilience is None:
             return
         if resilience is None and self.resilience is None:
             resilience = ResilienceConfig()
@@ -264,9 +270,8 @@ class ClusterSimulation:
             self.resilience = resilience
             for server in self.servers:
                 server.resilience = resilience
-        if self.faults is not None:
-            self.injector = FaultInjector(self.engine, self.servers,
-                                          self.faults)
+        if injector is not None:
+            self.injector = injector
 
     def _register_gauges(self) -> None:
         """Periodic time series of the paper's congestion indicators:

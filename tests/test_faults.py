@@ -260,6 +260,34 @@ def test_fault_inventory_enumerates_components():
     assert all(u < v for (_, u, v) in inv["links"])
 
 
+@pytest.mark.parametrize("event, names", [
+    (FaultEvent(1e6, "village", "fail", (5, 0)), "server 5"),
+    (FaultEvent(1e6, "village", "fail", (0, 999)), "village 999"),
+    (FaultEvent(1e6, "village", "fail", (0, -1)), "village -1"),
+    (FaultEvent(1e6, "village", "fail", (0, "v0")), "not an integer"),
+    (FaultEvent(1e6, "core", "fail", (0, 1, 99)), "core 99"),
+    (FaultEvent(1e6, "core", "fail", (0, 99, 0)), "village 99"),
+    (FaultEvent(1e6, "nic", "fail", (0, 99, "rnic")), "village 99"),
+    (FaultEvent(1e6, "nic", "fail", (0, 1, "xnic")), "'xnic'"),
+    (FaultEvent(1e6, "link", "fail", (0, "leaf0:0", "nowhere")),
+     "'nowhere'"),
+    (FaultEvent(1e6, "link", "recover", (0, "leaf0:0")), "3 fields"),
+])
+def test_bad_fault_targets_are_rejected_at_install(event, names):
+    """Every kind of bad target raises at install time, before the
+    engine has run a single event, naming the event and the problem."""
+    sched = FaultSchedule().add(FaultEvent(1e5, "village", "fail", (0, 1)))
+    sched.add(event)
+    sim = _small_sim()
+    with pytest.raises(ValueError, match=names) as err:
+        sim.install_faults(sched)
+    assert repr(event.target) in str(err.value)
+    assert sim.engine.events_processed == 0
+    assert sim.faults is None and sim.injector is None
+    with pytest.raises(ValueError, match=names):
+        _small_sim(faults=sched)
+
+
 def test_village_failure_triggers_timeout_retry_and_health_marks():
     sched = FaultSchedule(detection_ns=50_000.0) \
         .fail_village(0, 1, at_ns=1e6, recover_at_ns=3e6)
