@@ -23,10 +23,14 @@ faulted runs must replay the plain runs event-for-event).
 
 A third leg benchmarks the event-engine hot path at the fig18 mid-sweep
 point (~75K RPS) into ``BENCH_engine.json``: deterministic outputs
-(events processed, completions, p99) are checked exactly, the measured
+(events processed, completions, p99) are checked exactly, and the
 events/sec must clear a deliberately loose ``min_events_per_sec`` floor
-(a catastrophic-regression tripwire that tolerates slow CI hosts — the
-honest per-host throughput lives in the recorded baseline).
+(a catastrophic-regression tripwire).  The leg is timed like the e2e
+benchmark (``benchmarks/e2e/calibrate.py``): its repeats read a
+``WorkClock`` under one ``SpeedSampler``, and the gated events/sec is
+scaled to that benchmark's nominal host speed, so a slow or contended
+host does not read as a regression.  The raw events/sec is reported
+next to it.
 
 Usage::
 
@@ -45,6 +49,9 @@ from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+
+from calibrate import NOMINAL_S, SpeedSampler, WorkClock  # noqa: E402
 
 from repro.faults import FaultSchedule, ResilienceConfig  # noqa: E402
 from repro.systems.cluster import ClusterSimulation       # noqa: E402
@@ -293,8 +300,8 @@ def measure_hybrid() -> dict:
     }
 
 
-def _engine_run():
-    """One engine-leg run.
+def _engine_run(clock: WorkClock):
+    """One engine-leg run, timed on ``clock``.
 
     Returns:
         ``(wall_s, events_processed, result)``.
@@ -302,24 +309,37 @@ def _engine_run():
     sim = ClusterSimulation(CONFIG, social_network_app("Text"),
                             rps_per_server=ENGINE_RPS, n_servers=1,
                             duration_s=ENGINE_DURATION_S, seed=SEED)
-    t0 = time.perf_counter()
+    t0 = clock()
     result = sim.run()
-    wall = time.perf_counter() - t0
+    wall = clock() - t0
     return wall, sim.engine.events_processed, result
 
 
 def measure_engine() -> dict:
-    """Best-of-N wall for the engine leg."""
+    """Mean wall of the engine leg's repeats, raw and scaled.
+
+    The repeats run under one :class:`SpeedSampler`; ``ref_s`` is its
+    mean tick, and the ``scaled_*`` fields are the raw ones at the
+    nominal host speed (``wall * NOMINAL_S / ref_s``), as the e2e
+    benchmark scales its host times.
+    """
+    clock = WorkClock()
     walls = []
     events = result = None
-    for __ in range(REPEATS):
-        wall, events, result = _engine_run()
-        walls.append(wall)
-    wall = min(walls)
+    with SpeedSampler(clock) as sampler:
+        for __ in range(REPEATS):
+            wall, events, result = _engine_run(clock)
+            walls.append(wall)
+        ref_s = sampler.tick_s()
+    wall = statistics.fmean(walls)
+    scaled_wall = wall * NOMINAL_S / ref_s
     return {
         "wall_s": round(wall, 4),
+        "ref_s": round(ref_s, 5),
+        "scaled_wall_s": round(scaled_wall, 4),
         "events_processed": events,
         "events_per_sec": int(events / wall),
+        "scaled_events_per_sec": int(events / scaled_wall),
         "completed": result.completed,
         "p99_us": round(result.p99_ns / 1e3, 3),
     }
@@ -377,11 +397,13 @@ def main() -> int:
                          "duration_s": ENGINE_DURATION_S,
                          "seed": SEED, "repeats": REPEATS},
             "baseline": engine,
-            # Floor = a third of the baseline host's throughput: loose
-            # enough for slow CI runners, tight enough to trip on a
-            # hot-path regression that re-introduces per-event Python
-            # overhead wholesale.
-            "gate": {"min_events_per_sec": engine["events_per_sec"] // 3},
+            # Floor = a third of the baseline's scaled throughput (ev/s
+            # at the nominal host speed): loose enough for host noise
+            # the scaling misses, tight enough to trip on a hot-path
+            # regression that re-introduces per-event Python overhead
+            # wholesale.
+            "gate": {"min_events_per_sec":
+                     engine["scaled_events_per_sec"] // 3},
             "reference": {
                 "pre_rebuild_events_per_sec": 116_000,
                 "note": "same point at the PR base commit on the "
@@ -424,11 +446,12 @@ def main() -> int:
     edoc = json.loads(ENGINE_BASELINE_PATH.read_text())
     ebase = edoc["baseline"]
     floor = edoc["gate"]["min_events_per_sec"]
-    if engine["events_per_sec"] < floor:
+    if engine["scaled_events_per_sec"] < floor:
         failures.append(
-            f"engine throughput collapsed: {engine['events_per_sec']} "
-            f"ev/s < {floor} ev/s floor "
-            f"(baseline host: {ebase['events_per_sec']} ev/s)")
+            f"engine throughput collapsed: "
+            f"{engine['scaled_events_per_sec']} scaled ev/s < {floor} "
+            f"scaled ev/s floor (baseline: "
+            f"{ebase['scaled_events_per_sec']} scaled ev/s)")
     for key in ("events_processed", "completed", "p99_us"):
         if engine[key] != ebase[key]:
             failures.append(f"deterministic engine output drifted: {key} "
@@ -441,7 +464,8 @@ def main() -> int:
     print(f"perf smoke OK (overhead {measured['overhead_ratio']:.3f}x, "
           f"limit {limit:.3f}x; hybrid {hybrid['speedup']:.2f}x, "
           f"floor {min_speedup:.1f}x; engine "
-          f"{engine['events_per_sec']} ev/s, floor {floor} ev/s)")
+          f"{engine['scaled_events_per_sec']} scaled ev/s "
+          f"({engine['events_per_sec']} raw), floor {floor} scaled ev/s)")
     return 0
 
 

@@ -45,7 +45,7 @@ class RequestRecord:
     queue_wait_ns: float = 0.0
     rejected: bool = False
     failed: bool = False                       # lost to a fault (retries exhausted)
-    req_id: int = field(default_factory=lambda: next(_ids))
+    req_id: int = field(default_factory=_ids.__next__)
 
     # Lifecycle state stamped by the village, its RQ and the server.
     # Plain class attributes, not dataclass fields: construction does not
@@ -74,6 +74,6 @@ class RequestRecord:
         return self.seg_index == self.n_segments - 1
 
     def advance_segment(self) -> None:
-        if self.is_last_segment:
+        if self.seg_index == len(self.segments) - 1:      # is_last_segment
             raise RuntimeError(f"request {self.req_id} has no more segments")
         self.seg_index += 1

@@ -62,16 +62,6 @@ class RequestQueue:
         # epoch are stale — late wakeups/completions for them are ignored.
         self.epoch = 0
 
-    def _stamp_ready(self, rec: RequestRecord) -> None:
-        if self.clock is not None:
-            rec._ready_since_ns = self.clock.now
-
-    def _account_dequeue(self, rec: RequestRecord) -> None:
-        self.dequeues += 1
-        if self.clock is not None:
-            rec._rq_wait_ns = self.clock.now - rec._ready_since_ns
-            self.wait_ns_total += rec._rq_wait_ns
-
     @property
     def occupancy(self) -> int:
         return len(self._slots)
@@ -82,10 +72,10 @@ class RequestQueue:
 
     def enqueue(self, rec: RequestRecord) -> bool:
         """Append at the tail; False (and count a rejection) when full."""
-        if self.is_full:
+        slots = self._slots
+        if len(slots) >= self.capacity:           # is_full
             self.rejected += 1
             return False
-        slots = self._slots
         slots.append(rec)
         self.enqueued += 1
         if len(slots) > self.peak_occupancy:
@@ -94,7 +84,8 @@ class RequestQueue:
         rec._rq_seq = self.enqueued
         rec._rq_soft = False
         rec._rq_epoch = self.epoch
-        self._stamp_ready(rec)
+        if self.clock is not None:
+            rec._ready_since_ns = self.clock.now
         heapq.heappush(self._ready_heap,
                        (self.policy.key(rec), rec.req_id, rec))
         if self.check.enabled:
@@ -116,7 +107,8 @@ class RequestQueue:
         rec._rq_seq = self.enqueued
         rec._rq_soft = True
         rec._rq_epoch = self.epoch
-        self._stamp_ready(rec)
+        if self.clock is not None:
+            rec._ready_since_ns = self.clock.now
         heapq.heappush(self._ready_heap,
                        (self.policy.key(rec), rec.req_id, rec))
         if self.check.enabled:
@@ -129,7 +121,10 @@ class RequestQueue:
             if rec.status is not RequestStatus.READY:
                 continue                              # stale entry
             rec.status = RequestStatus.RUNNING
-            self._account_dequeue(rec)
+            self.dequeues += 1
+            if self.clock is not None:
+                rec._rq_wait_ns = self.clock.now - rec._ready_since_ns
+                self.wait_ns_total += rec._rq_wait_ns
             if self.check.enabled:
                 self.check.rq_dequeue(self, rec)
             return rec
@@ -147,7 +142,7 @@ class RequestQueue:
         rec.status = RequestStatus.BLOCKED
 
     def mark_ready(self, rec: RequestRecord) -> None:
-        if self.is_stale(rec):
+        if rec._rq_epoch != self.epoch:      # stale (see is_stale)
             # The entry (and its context memory) was wiped by a purge; a
             # late wakeup must not plant a ghost in the new epoch's heap.
             return
@@ -155,7 +150,8 @@ class RequestQueue:
             raise RuntimeError(
                 f"request {rec.req_id} not blocked ({rec.status})")
         rec.status = RequestStatus.READY
-        self._stamp_ready(rec)
+        if self.clock is not None:
+            rec._ready_since_ns = self.clock.now
         # Re-index: FCFS keeps the original arrival position; SRPT re-keys
         # by the (now smaller) remaining work.
         heapq.heappush(self._ready_heap,
@@ -166,7 +162,7 @@ class RequestQueue:
     def complete(self, rec: RequestRecord) -> None:
         """Mark finished; advance the head past finished entries."""
         rec.status = RequestStatus.FINISHED
-        stale = self.is_stale(rec)
+        stale = rec._rq_epoch != self.epoch
         if rec._rq_soft:
             # Epoch guard: a purge already reset ``soft_entries`` to 0,
             # so a late completion of a pre-purge soft entry must not
@@ -185,7 +181,10 @@ class RequestQueue:
             self.check.rq_complete(self, rec, stale=stale)
 
     def is_stale(self, rec: RequestRecord) -> bool:
-        """Was ``rec``'s entry wiped by a purge since it was enqueued?"""
+        """Was ``rec``'s entry wiped by a purge since it was enqueued?
+
+        The hot paths here and in :class:`~repro.core.village.Village`
+        make the same epoch comparison inline."""
         return rec._rq_epoch != self.epoch
 
     def purge(self) -> int:

@@ -153,14 +153,15 @@ class Village:
         its entry goes blocked -> ready (wakeup)."""
         rec.advance_segment()
         owner = rec._owner_village
-        if owner.failed or owner.rq.is_stale(rec):
+        # ``owner.rq.is_stale(rec)``, inlined here and below.
+        if owner.failed or rec._rq_epoch != owner.rq.epoch:
             # The entry's context memory was purged by a village failure;
             # a late response has nothing to wake up.
             owner.blackholed += 1
             return
 
         def ready():
-            if owner.failed or owner.rq.is_stale(rec):
+            if owner.failed or rec._rq_epoch != owner.rq.epoch:
                 owner.blackholed += 1
                 return
             owner.rq.mark_ready(rec)
@@ -218,17 +219,21 @@ class Village:
     def _kick(self) -> None:
         if self.failed:
             return
+        rq = self.rq
         for core in self.cores:
             if not core.busy and not core.failed:
                 # A core failing to dequeue means the RQ has no ready
-                # work for anyone — stop scanning cores.
-                if not self._try_dispatch(core):
+                # work for anyone — stop scanning cores.  So does an
+                # empty ready heap in a village with no steal peers.
+                if not (rq._ready_heap or self.steal_from) \
+                        or not self._try_dispatch(core):
                     break
 
     def _try_dispatch(self, core: Core) -> bool:
         if core.busy or core.failed or self.failed:
             return False
-        rec = self.rq.dequeue()
+        # An empty ready heap has nothing to dequeue.
+        rec = self.rq.dequeue() if self.rq._ready_heap else None
         if rec is None and self.steal_from:
             rec = self.steal_policy.steal(self, core)
             if rec is not None:
@@ -295,7 +300,7 @@ class Village:
 
     def _segment_finished(self, core: Core, rec: RequestRecord) -> None:
         owner = rec._owner_village
-        if self.failed or owner.failed or owner.rq.is_stale(rec):
+        if self.failed or owner.failed or rec._rq_epoch != owner.rq.epoch:
             # The village (or the entry's home RQ) died mid-segment: the
             # request is gone.  Free the core if *this* village is alive.
             owner.blackholed += 1
@@ -314,7 +319,8 @@ class Village:
 
         def saved():
             core.busy = False
-            self._try_dispatch(core)
+            if self.rq._ready_heap or self.steal_from:
+                self._try_dispatch(core)
 
         self.scheduler.charge_save(saved, rec=rec)
 
@@ -328,7 +334,8 @@ class Village:
         def done():
             core.busy = False
             rec.on_complete(rec)
-            self._try_dispatch(core)
+            if self.rq._ready_heap or self.steal_from:
+                self._try_dispatch(core)
 
         self.scheduler.scheduler_op(done, rec=rec)
 

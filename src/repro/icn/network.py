@@ -55,15 +55,16 @@ class _Transit:
     The link hop is the unit of work: each hop is one scheduled
     :meth:`hop_done` event and one Python frame, which drives the link
     ``Resource``s directly instead of going through
-    ``Resource.acquire``/``_finish``.  Link resources are therefore
-    driven only by transits — their queues hold ``(arrival, hop_time,
-    transit)`` waiters, counted in ``Network._queued`` — while their
-    counters (``busy``, ``jobs_served``, ``busy_time``,
-    ``wait_time_total``, ``max_queue_len``) and invariant-checker hooks
-    evolve exactly as ``Resource`` would update them.
+    ``Resource.acquire``/``_finish``, and delivers the message itself
+    after the last hop.  Link resources are therefore driven only by
+    transits — their queues hold ``(arrival, hop_time, transit)``
+    waiters, counted in ``Network._queued`` — while their counters
+    (``busy``, ``jobs_served``, ``busy_time``, ``wait_time_total``,
+    ``max_queue_len``) and invariant-checker hooks evolve exactly as
+    ``Resource`` would update them.
     """
 
-    __slots__ = ("net", "links", "hop_time", "sent_at",
+    __slots__ = ("net", "links", "n_hops", "hop_time", "sent_at",
                  "on_delivered", "on_dropped", "idx")
 
     def __init__(self, net: "Network", links: tuple, hop_time: float,
@@ -71,6 +72,7 @@ class _Transit:
                  on_dropped: Optional[Callable[[], None]]):
         self.net = net
         self.links = links
+        self.n_hops = len(links)
         self.hop_time = hop_time
         self.sent_at = net.engine.now
         self.on_delivered = on_delivered
@@ -102,8 +104,12 @@ class _Transit:
         else:
             freed = None
 
-        if i >= len(links):
-            net._deliver(self.sent_at, self.on_delivered)
+        if i >= self.n_hops:
+            # Delivery, as ``Network._deliver`` does it.
+            net.total_latency += engine.now - self.sent_at
+            if check.enabled:
+                check.icn_deliver(net)
+            self.on_delivered()
         else:
             link = links[i]
             topo = net.topology
@@ -346,6 +352,10 @@ class Network:
         healthy table while no link is failed, else the table of the
         current failure set.  Raises :class:`NoPathError` when there is
         no route.
+
+        :meth:`send` and :meth:`send_fanout` read a compiled healthy
+        pair from ``_pairs`` themselves and come here only for a pair
+        not compiled yet or while a link is failed.
         """
         if self.topology._failed_links:
             pair = self._degraded.get((src, dst))
@@ -375,11 +385,18 @@ class Network:
         time; a mid-flight link failure is caught hop-by-hop.
         """
         engine = self.engine
-        try:
-            links = self._route_links(src, dst)
-        except NoPathError:
-            self._drop(on_dropped)
-            return
+        pair = None if self.topology._failed_links \
+            else self._pairs.get((src, dst))
+        if pair.__class__ is tuple:
+            links = pair
+        elif pair is not None:
+            links = pair.links(self._draws)
+        else:
+            try:
+                links = self._route_links(src, dst)
+            except NoPathError:
+                self._drop(on_dropped)
+                return
         self.messages_sent += 1
         n_hops = len(links)
         if not n_hops:
@@ -440,16 +457,24 @@ class Network:
             hop_time = self.config.hop_latency_ns + \
                 self.config.serialization_ns(size_bytes)
             self._hop_times[size_bytes] = hop_time
-        route_links = self._route_links
+        # No event runs mid-batch, so no link fails or recovers in it.
+        pairs = None if self.topology._failed_links else self._pairs
+        draws = self._draws
         schedule = engine.schedule
         sent = 0
         hops = 0
         for src in sources:
-            try:
-                links = route_links(src, dst)
-            except NoPathError:
-                self._drop(None)
-                continue
+            pair = None if pairs is None else pairs.get((src, dst))
+            if pair.__class__ is tuple:
+                links = pair
+            elif pair is not None:
+                links = pair.links(draws)
+            else:
+                try:
+                    links = self._route_links(src, dst)
+                except NoPathError:
+                    self._drop(None)
+                    continue
             sent += 1
             if not links:
                 schedule(0.0, on_each)

@@ -81,7 +81,8 @@ class LNic:
                 check.nic_drop(self)
             return
         self.messages += 1
-        done = self._traced(done, rec)
+        if self.engine.tracer.enabled:
+            done = self._traced(done, rec)
         cfg = self.config
         service = cfg.rpc_processing_ns + size_bytes / cfg.bytes_per_ns
         # A lambda of this module rather than ``done`` itself, so port
@@ -107,7 +108,8 @@ class RNic(LNic):
                 check.nic_drop(self)
             return
         self.messages += 1
-        done = self._traced(done, rec)
+        if self.engine.tracer.enabled:
+            done = self._traced(done, rec)
         cfg = self.config
         service = (cfg.rpc_processing_ns + cfg.transport_overhead_ns
                    + size_bytes / cfg.bytes_per_ns)

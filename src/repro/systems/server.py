@@ -35,7 +35,7 @@ from repro.sim.engine import Engine
 from repro.sim.resource import Resource
 from repro.sim.rng import ScalarDraws
 from repro.systems.configs import SystemConfig
-from repro.workloads.spec import AppSpec, ServiceSpec
+from repro.workloads.spec import STORAGE, AppSpec, ServiceSpec
 
 REQUEST_BYTES = 512
 RESPONSE_BYTES = 512
@@ -101,6 +101,10 @@ class Server:
             config.preempt_op_cycles / config.core.freq_ghz
         self._state_msg_bytes = max(
             64, config.state_bytes_per_invocation // 4)
+        self._mlp = self.core_model.memory_level_parallelism()
+        #: ``(cpi, freq_ghz)`` of a segment per ``(app, service, big
+        #: village)``, filled on first use by :meth:`segment_time_ns`.
+        self._segment_terms: Dict[tuple, tuple] = {}
         self._build_topology()
         self._build_villages()
         self._place_services()
@@ -144,7 +148,7 @@ class Server:
                           for c in range(cfg.n_clusters)]
         # Cluster -> attachment-node names precomputed; list indexing is
         # the hot cluster-to-leaf map on every message send.
-        self._leaf = leaf_names.__getitem__
+        self._leaves = leaf_names
         self.topology = topo
         net_cfg = NetworkConfig(hop_cycles=5.0, freq_ghz=cfg.core.freq_ghz,
                                 link_bytes_per_ns=cfg.link_bytes_per_ns,
@@ -195,10 +199,10 @@ class Server:
                                    name=f"s{self.server_id}.v{v}.lnic"))
             self.rnics.append(RNic(self.engine, nic_cfg,
                                    name=f"s{self.server_id}.v{v}.rnic"))
-            cluster = self.village_cluster(v)
             # A queue domain spanning k L2-villages has k I/O port pairs.
             ports = max(1, cfg.cores_per_queue // cfg.cores_per_village)
-            self.topology.attach(self._village_node(v), self._leaf(cluster),
+            self.topology.attach(self._village_nodes[v],
+                                 self._leaves[self._village_clusters[v]],
                                  capacity=ports)
         if cfg.work_steal:
             peers_of = self.rng.permutation(cfg.n_queues)
@@ -229,9 +233,6 @@ class Server:
             self.placement[leaf_names[i % len(leaf_names)]].append(v)
         for i, v in enumerate(small):
             self.placement[heavy_names[i % len(heavy_names)]].append(v)
-
-    def _village_node(self, v: int) -> str:
-        return self._village_nodes[v]
 
     def village_cluster(self, v: int) -> int:
         return self._village_clusters[v]
@@ -277,10 +278,23 @@ class Server:
 
     def segment_time_ns(self, rec: RequestRecord, core) -> float:
         cfg = self.config
-        spec = self._service_spec(rec)
-        base = self.village_core_model(rec.village).segment_time_ns(
-            rec.current_segment_instructions, spec.profile,
-            cfg.l2_latency_cycles, self._mem_cycles)
+        v = rec.village
+        # The village core model's ``segment_time_ns``, with the CPI and
+        # frequency looked up once per (app, service, big village).
+        instructions = rec.segments[rec.seg_index]
+        if instructions < 0:
+            raise ValueError("negative instruction count")
+        key = (rec.app_name, rec.service, v in self._big_villages)
+        terms = self._segment_terms.get(key)
+        if terms is None:
+            model = self.village_core_model(v)
+            spec = self.apps[rec.app_name].services[rec.service]
+            terms = self._segment_terms[key] = (
+                model.effective_cpi(spec.profile, cfg.l2_latency_cycles,
+                                    self._mem_cycles),
+                model.config.freq_ghz)
+        cpi, freq = terms
+        base = instructions * cpi / freq
         # Software RPC stack: every segment starts by processing the
         # message that woke it (request or response) on the core.
         base += cfg.sw_rpc_core_ns
@@ -291,10 +305,15 @@ class Server:
             quanta = math.ceil(base / cfg.preempt_quantum_ns)
             per_check_ns = self._preempt_check_ns
             base += quanta * per_check_ns
-            village = self.villages[rec.village]
+            village = self.villages[v]
             village.scheduler.background_load(quanta * per_check_ns)
-        if rec.seg_index == 0 and not rec.has_run:
-            self._fetch_state(rec)
+        if not rec.has_run:
+            if rec.seg_index == 0:
+                self._fetch_state(rec)
+            return base
+        last = rec.last_core
+        if last is None or (last[0] == v and last[1] == core.core_id):
+            return base
         return base + self._resume_penalty_ns(rec, core)
 
     def _fetch_state(self, rec: RequestRecord) -> None:
@@ -331,12 +350,12 @@ class Server:
             random, below = draws.random, draws.below
             frac = cfg.local_state_fraction
             n_clusters = cfg.n_clusters
-            leaf = self._leaf
+            leaves = self._leaves
             for __ in range(n_msgs):
                 if random() < frac:
-                    yield leaf(local_cluster)
+                    yield leaves[local_cluster]
                 else:
-                    yield leaf(below(n_clusters))
+                    yield leaves[below(n_clusters)]
 
         self.network.send_fanout(sources(), dst, msg_bytes, arrived, rec=rec)
 
@@ -350,11 +369,11 @@ class Server:
         if (last_village, last_core) == here:
             return 0.0
         lines = cfg.resume_reload_lines
-        mlp = self.core_model.memory_level_parallelism()
         freq = cfg.core.freq_ghz
-        same_l2 = self._global_core(last_village, last_core) // \
-            cfg.cores_per_village == self._global_core(*here) // \
-            cfg.cores_per_village
+        per_queue = cfg.cores_per_queue
+        per_village = cfg.cores_per_village
+        same_l2 = (last_village * per_queue + last_core) // per_village \
+            == (rec.village * per_queue + core.core_id) // per_village
         if same_l2:
             per_line = cfg.l2_latency_cycles
         elif self.coherence.is_global:
@@ -362,10 +381,7 @@ class Server:
                 self.coherence.directory_roundtrip_cycles()
         else:
             per_line = cfg.memory_latency_cycles
-        return lines * per_line / freq / mlp
-
-    def _global_core(self, village: int, core_id: int) -> int:
-        return village * self.config.cores_per_queue + core_id
+        return lines * per_line / freq / self._mlp
 
     def segment_done(self, rec: RequestRecord, village: Village, core) -> None:
         # Demand state fetch still in flight: the core stalls on it (the
@@ -378,27 +394,24 @@ class Server:
 
     def _segment_done_impl(self, rec: RequestRecord, village: Village,
                            core) -> None:
-        if rec.is_last_segment:
+        i = rec.seg_index
+        if i == len(rec.segments) - 1:          # the last segment
             village.finish(rec, core)
             return
-        spec = self._service_spec(rec)
-        call = spec.calls[rec.seg_index]
+        call = self.apps[rec.app_name].services[rec.service].calls[i]
         village.block_for_call(rec, core)
-        if call.is_storage:
+        if call.target == STORAGE:
             self._storage_access(rec, village)
         else:
             self._service_call(rec, village, call.target)
-
-    def _service_spec(self, rec: RequestRecord) -> ServiceSpec:
-        return self.apps[rec.app_name].services[rec.service]
 
     # ------------------------------------------------------ blocking calls
 
     def _storage_access(self, rec: RequestRecord, village: Village) -> None:
         """village -> leaf -> R-NIC -> fabric -> storage, and back."""
         v = village.village_id
-        node = self._village_node(v)
-        leaf = self._leaf(self.village_cluster(v))
+        node = self._village_nodes[v]
+        leaf = self._leaves[self._village_clusters[v]]
         tracer = self.engine.tracer
         issued_ns = self.engine.now
 
@@ -455,20 +468,20 @@ class Server:
         """Push one request toward its callee; returns the destination
         village for local calls (None for cross-server ones).  Raises
         ``KeyError`` when every local instance is marked unhealthy."""
-        src_node = self._village_node(village.village_id)
+        v = village.village_id
+        src_node = self._village_nodes[v]
         if callee is self:
             dst_village = self.top_nic.pick_village(target, exclude=exclude)
-            self.lnics[village.village_id].process(
+            self.lnics[v].process(
                 REQUEST_BYTES,
                 lambda: self.network.send(
-                    src_node, self._village_node(dst_village),
+                    src_node, self._village_nodes[dst_village],
                     self._coh_request_bytes,
                     lambda: self._submit_with_retry(child, dst_village),
                     rec=child),
                 rec=child)
             return dst_village
-        v = village.village_id
-        leaf = self._leaf(self.village_cluster(v))
+        leaf = self._leaves[self._village_clusters[v]]
         self.network.send(
             src_node, leaf, self._coh_request_bytes,
             lambda: self.rnics[v].process(
@@ -552,22 +565,22 @@ class Server:
             else:
                 parent_village.make_ready(parent)
 
-        child_node = callee._village_node(child.village)
+        child_node = callee._village_nodes[child.village]
+        parent_v = parent_village.village_id
         if callee is self:
-            self.network.send(child_node,
-                              self._village_node(parent_village.village_id),
+            self.network.send(child_node, self._village_nodes[parent_v],
                               self._coh_response_bytes, resume,
                               rec=child)
         else:
-            child_leaf = callee._leaf(callee.village_cluster(child.village))
+            child_leaf = callee._leaves[
+                callee._village_clusters[child.village]]
             callee.network.send(
                 child_node, child_leaf, callee._coh_response_bytes,
                 lambda: callee.fabric.send(
                     callee.server_id, self.server_id, RESPONSE_BYTES,
                     lambda: self.network.send(
-                        self._leaf(self.village_cluster(
-                            parent_village.village_id)),
-                        self._village_node(parent_village.village_id),
+                        self._leaves[self._village_clusters[parent_v]],
+                        self._village_nodes[parent_v],
                         self._coh_response_bytes, resume, rec=child),
                     rec=child),
                 rec=child)
@@ -633,11 +646,11 @@ class Server:
         def respond(rec: RequestRecord) -> None:
             # Egress: village -> leaf -> NIC link -> top NIC -> fabric.
             v = rec.village
-            leaf = self._leaf(self.village_cluster(v))
+            cluster = self._village_clusters[v]
             self.network.send(
-                self._village_node(v), leaf,
+                self._village_nodes[v], self._leaves[cluster],
                 self._coh_response_bytes,
-                lambda: self._nic_links[self.village_cluster(v)].acquire(
+                lambda: self._nic_links[cluster].acquire(
                     self._nic_hop_ns,
                     lambda: self.top_nic.process(
                         RESPONSE_BYTES,
@@ -688,7 +701,7 @@ class Server:
             if not internal:
                 self._reject(rec, on_reject)
             return
-        cluster = self.village_cluster(village_id)
+        cluster = self._village_clusters[village_id]
 
         def deliver() -> None:
             if self.villages[village_id].submit(rec):
@@ -705,7 +718,7 @@ class Server:
         self._nic_links[cluster].acquire(
             self._nic_hop_ns,
             lambda: self.network.send(
-                self._leaf(cluster), self._village_node(village_id),
+                self._leaves[cluster], self._village_nodes[village_id],
                 self._coh_request_bytes, deliver, rec=rec))
 
     def _maybe_scale(self, service: str) -> None:

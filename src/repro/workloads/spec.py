@@ -54,6 +54,13 @@ class ServiceSpec:
             raise ValueError(f"{self.name}: segment_instructions must be > 0")
         if self.segment_cv < 0:
             raise ValueError(f"{self.name}: segment_cv must be >= 0")
+        # Lognormal parameters of the segment lengths, computed once
+        # (plain attributes, not fields: equality, hashing and the
+        # runner's fingerprint see only the fields).
+        sigma2 = math.log(1.0 + self.segment_cv ** 2)
+        object.__setattr__(self, "_mu",
+                           math.log(self.segment_instructions) - sigma2 / 2.0)
+        object.__setattr__(self, "_sigma", math.sqrt(sigma2))
 
     @property
     def n_segments(self) -> int:
@@ -61,13 +68,10 @@ class ServiceSpec:
 
     def sample_segments(self, rng: np.random.Generator) -> List[float]:
         """Per-request instruction counts for each compute segment."""
-        mean = self.segment_instructions
+        n = len(self.calls) + 1
         if self.segment_cv == 0:
-            return [mean] * self.n_segments
-        sigma2 = math.log(1.0 + self.segment_cv ** 2)
-        mu = math.log(mean) - sigma2 / 2.0
-        return rng.lognormal(mu, math.sqrt(sigma2),
-                             size=self.n_segments).tolist()
+            return [self.segment_instructions] * n
+        return rng.lognormal(self._mu, self._sigma, size=n).tolist()
 
 
 @dataclass(frozen=True)
