@@ -81,6 +81,10 @@ CS_PRESETS: Dict[str, ContextSwitchConfig] = {
 }
 
 
+def _idle() -> None:
+    """Completion of scheduler-core work that nothing waits on."""
+
+
 class SchedulerDomain:
     """Scheduling-overhead engine for one queue domain.
 
@@ -142,9 +146,7 @@ class SchedulerDomain:
         if self.engine.tracer.enabled:
             done = self._traced(done, "save", rec)
         if self._sched_core is not None:
-            # A lambda of this module rather than ``done`` itself, so
-            # scheduler-core completions are owned by this layer.
-            self._sched_core.acquire(self._save_ns, lambda: done())
+            self._sched_core.acquire(self._save_ns, done)
         else:
             self.engine.schedule(self._save_ns, done)
 
@@ -153,7 +155,7 @@ class SchedulerDomain:
         if self.engine.tracer.enabled:
             done = self._traced(done, "restore", rec)
         if self._sched_core is not None:
-            self._sched_core.acquire(self._restore_ns, lambda: done())
+            self._sched_core.acquire(self._restore_ns, done)
         else:
             self.engine.schedule(self._restore_ns, done)
 
@@ -176,7 +178,7 @@ class SchedulerDomain:
         if self.engine.tracer.enabled:
             done = self._traced(done, "sched_op", rec)
         if self._sched_core is not None:
-            self._sched_core.acquire(op_ns, lambda: done())
+            self._sched_core.acquire(op_ns, done)
         else:
             self.engine.schedule(op_ns, done)
 
@@ -185,7 +187,7 @@ class SchedulerDomain:
         core, contending with the dispatch path but with no completion
         callback of its own."""
         if busy_ns > 0 and self._sched_core is not None:
-            self._sched_core.acquire(busy_ns, lambda: None)
+            self._sched_core.acquire(busy_ns, _idle)
 
     def scheduler_utilization(self) -> float:
         if self._sched_core is None:

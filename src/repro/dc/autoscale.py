@@ -44,16 +44,13 @@ class Autoscaler:
         """Arm the periodic decision tick."""
         self.engine.schedule(self.interval_ns, self._tick)
 
-    def _busy_ns(self, server) -> float:
-        return sum(c.busy_ns for v in server.villages for c in v.cores)
-
     def _tick(self) -> None:
         now = self.engine.now
         window = now - self._last_ns
         if window > 0:
             self._decide(now, window)
         for sid, server in enumerate(self.servers):
-            self._last_busy[sid] = self._busy_ns(server)
+            self._last_busy[sid] = server.busy_ns()
         self._last_ns = now
         if self.engine.peek_time() is not None:
             self.engine.schedule(self.interval_ns, self._tick)
@@ -62,7 +59,7 @@ class Autoscaler:
         active = self.lb.active_ids
         cores = self.servers[0].config.n_cores
         utils = [
-            (self._busy_ns(self.servers[sid]) - self._last_busy[sid])
+            (self.servers[sid].busy_ns() - self._last_busy[sid])
             / (window * cores)
             for sid in active]
         mean = sum(utils) / len(utils)

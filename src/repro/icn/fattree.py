@@ -34,12 +34,18 @@ class FatTree(Topology):
         super().__init__(name=f"fattree{n_leaves}")
         self.n_leaves = n_leaves
         self.levels = n_leaves.bit_length()  # 32 -> 6 levels (0..5)
+        #: Switch names per level, by index, and each name's
+        #: ``(level, index)``: routing walks these, not the names.
+        self._names = [[self.switch(level, i)
+                        for i in range(n_leaves >> level)]
+                       for level in range(self.levels)]
+        self._position = {name: (level, i)
+                          for level, names in enumerate(self._names)
+                          for i, name in enumerate(names)}
         for level in range(self.levels - 1):
-            width = n_leaves >> level
             capacity = min(2 ** level * 2, max_link_capacity)
-            for i in range(width):
-                self.add_link(self.switch(level, i),
-                              self.switch(level + 1, i // 2),
+            for i, name in enumerate(self._names[level]):
+                self.add_link(name, self._names[level + 1][i // 2],
                               capacity=capacity)
 
     @staticmethod
@@ -49,7 +55,7 @@ class FatTree(Topology):
     def leaf(self, index: int) -> str:
         if not 0 <= index < self.n_leaves:
             raise IndexError(f"leaf index {index} out of range")
-        return self.switch(0, index)
+        return self._names[0][index]
 
     @property
     def n_switches(self) -> int:
@@ -57,24 +63,21 @@ class FatTree(Topology):
 
     def _route(self, src: str, dst: str,
                rng: Optional[np.random.Generator] = None) -> List[str]:
-        """Up to the lowest common ancestor, then down."""
+        """Up to the lowest common ancestor, then down.
+
+        The ancestor of switch ``(l, i)`` at level ``L`` is index
+        ``i >> (L - l)``, so the two ends meet at the first level above
+        both where those indices agree: the highest differing bit of
+        their indices at the higher end's level.
+        """
         if src == dst:
             return [src]
-        sl, si = self._parse(src)
-        dl, di = self._parse(dst)
-        up: List[str] = [src]
-        down: List[str] = [dst]
-        while (sl, si) != (dl, di):
-            if sl <= dl:
-                sl, si = sl + 1, si // 2
-                up.append(self.switch(sl, si))
-            else:
-                dl, di = dl + 1, di // 2
-                down.append(self.switch(dl, di))
-        # The meeting node appears at the end of both lists.
-        return up + down[::-1][1:]
-
-    @staticmethod
-    def _parse(node: str):
-        level, index = node[2:].split(":")
-        return int(level), int(index)
+        sl, si = self._position[src]
+        dl, di = self._position[dst]
+        top = max(sl, dl)
+        meet = top + ((si >> (top - sl)) ^ (di >> (top - dl))).bit_length()
+        names = self._names
+        return ([names[level][si >> (level - sl)]
+                 for level in range(sl, meet + 1)]
+                + [names[level][di >> (level - dl)]
+                   for level in range(meet - 1, dl - 1, -1)])

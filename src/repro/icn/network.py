@@ -44,6 +44,8 @@ class _Link(Resource):
     """One directed ICN link: a FIFO ``Resource`` that knows its
     ``edge`` ``(u, v)``, which the mid-flight failure check looks up."""
 
+    __slots__ = ("edge",)
+
     def __init__(self, engine: Engine, u: str, v: str, capacity: int):
         super().__init__(engine, capacity=capacity, name=f"{u}->{v}")
         self.edge = (u, v)
@@ -141,35 +143,55 @@ class _Transit:
 
 
 class _EcmpPair:
-    """Per-stage link tables of one multi-path endpoint pair.
+    """Per-stage link tables of one multi-path route.
 
-    Compiled from the topology's ``(head, stages, tail)`` plan
-    (:meth:`Topology.route_entry`): ``head``/``tail`` are the fixed
-    links before the first and after the last stage, ``first[k]`` the
-    link into stage 0's node ``k``, ``mids[j][a][b]`` the link from
-    stage ``j``'s node ``a`` to stage ``j + 1``'s node ``b``, and
-    ``last[k]`` the link out of the final stage's node ``k``.
-    :meth:`links` indexes them with the message's own draws — one
-    :meth:`~repro.sim.rng.ScalarDraws.below` per stage, in stage order,
-    each equal to the ``rng.integers(width)`` that
+    ``head``/``tail`` are the fixed links before the first and after
+    the last stage, ``first[k]`` the link into stage 0's node ``k``,
+    ``mids[j][a][b]`` the link from stage ``j``'s node ``a`` to stage
+    ``j + 1``'s node ``b``, and ``last[k]`` the link out of the final
+    stage's node ``k``.  :meth:`links` indexes them with the message's
+    own draws — one :meth:`~repro.sim.rng.ScalarDraws.below` per stage,
+    in stage order, each equal to the ``rng.integers(width)`` that
     :func:`~repro.icn.topology.draw_path` makes — so no per-path object
-    exists and every RNG stream is unchanged.  ``first`` and ``mids``
-    are the network's shared stage tables (:meth:`Network._stage_table`).
+    exists and every RNG stream is unchanged.
+
+    A fabric-node pair's core is compiled once (:meth:`compile`); each
+    endpoint pair on those two nodes holds a :meth:`joined` copy that
+    shares the core's stage tables and adds its own attachment links
+    to ``head`` and ``tail``.
     """
 
     __slots__ = ("head", "widths", "first", "mids", "last", "tail")
 
-    def __init__(self, net: "Network", head: list, stages: list,
-                 tail: list):
+    def __init__(self, head: tuple, widths: tuple, first: tuple,
+                 mids: tuple, last: tuple, tail: tuple):
+        self.head = head
+        self.widths = widths
+        self.first = first
+        self.mids = mids
+        self.last = last
+        self.tail = tail
+
+    @classmethod
+    def compile(cls, net: "Network", head: list, stages: list,
+                tail: list) -> "_EcmpPair":
+        """The tables of the topology's ``(head, stages, tail)`` plan
+        (:meth:`Topology._route_plan`); ``first`` and ``mids`` are the
+        network's shared stage tables (:meth:`Network._stage_table`)."""
         link = net._link
         table = net._stage_table
-        self.head = _chain(link, head)
-        self.tail = _chain(link, tail)
-        self.widths = tuple(len(stage) for stage in stages)
-        self.first = table(head[-1:], stages[0])[0]
-        self.mids = tuple(table(cur, nxt)
-                          for cur, nxt in zip(stages, stages[1:]))
-        self.last = tuple(link(n, tail[0]) for n in stages[-1])
+        return cls(_chain(link, head),
+                   tuple(len(stage) for stage in stages),
+                   table(head[-1:], stages[0])[0],
+                   tuple(table(cur, nxt)
+                         for cur, nxt in zip(stages, stages[1:])),
+                   tuple(link(n, tail[0]) for n in stages[-1]),
+                   _chain(link, tail))
+
+    def joined(self, head: tuple, tail: tuple) -> "_EcmpPair":
+        """This route with ``head`` links before it and ``tail`` after."""
+        return _EcmpPair(head + self.head, self.widths, self.first,
+                         self.mids, self.last, self.tail + tail)
 
     def links(self, draws: Optional[ScalarDraws]) -> tuple:
         """One message's links, from its own per-stage draws."""
@@ -273,12 +295,22 @@ class Network:
         #: Per-message ECMP draws, on ``rng``'s own state.
         self._draws = ScalarDraws(rng) if rng is not None else None
         self._links: Dict[Tuple[str, str], _Link] = {}
-        #: Healthy routes compiled once per ``(src, dst)`` pair on its
-        #: first send: a link tuple for a fixed path, an
-        #: :class:`_EcmpPair` for a multi-path one.  Cleared with the
-        #: topology's route cache.
+        #: Healthy routes of ``(src, dst)`` endpoint pairs, assembled on
+        #: a pair's first send from ``_ends`` and ``_cores``: a link
+        #: tuple for a fixed path, an :class:`_EcmpPair` for a
+        #: multi-path one.  These three tables are cleared whenever the
+        #: topology's graph changes.
         self._pairs: Dict[Tuple[str, str], object] = {}
-        topology._route_dependents.append(self._pairs)
+        #: Per endpoint: ``(fabric node, up links, down links)``, the
+        #: attachment link into and out of the node it is attached to
+        #: (no links for a bare fabric node).
+        self._ends: Dict[str, tuple] = {}
+        #: Healthy route between two fabric nodes, compiled once for
+        #: every endpoint pair on them: a link tuple or an
+        #: :class:`_EcmpPair` without attachment links.
+        self._cores: Dict[Tuple[str, str], object] = {}
+        for table in (self._pairs, self._ends, self._cores):
+            topology._route_dependents.append(table)
         #: Routes under the current failure set, compiled per pair on
         #: its first degraded send: a link tuple, a
         #: :class:`_DegradedEcmp` or a :class:`_Dropped`.  Cleared with
@@ -319,14 +351,46 @@ class Network:
                 tuple(self._link(a, b) for b in vs) for a in us)
         return table
 
-    def _compile_pair(self, src: str, dst: str):
-        """Compile and store one pair's healthy route (raises
-        :class:`NoPathError`, storing nothing, when there is none)."""
-        entry = self.topology.route_entry(src, dst)
-        if entry.__class__ is list:
-            pair = _chain(self._link, entry)
+    def _end(self, name: str) -> tuple:
+        """Compile and store one endpoint's ``_ends`` entry."""
+        node = self.topology._attachments.get(name)
+        if node is None:
+            end = (name, (), ())
         else:
-            pair = _EcmpPair(self, *entry)
+            end = (node, (self._link(name, node),), (self._link(node, name),))
+        self._ends[name] = end
+        return end
+
+    def _core(self, s: str, d: str):
+        """Compile and store the healthy route between two fabric nodes
+        (raises :class:`NoPathError`, storing nothing, when there is
+        none)."""
+        topo = self.topology
+        plan = topo._route_plan(s, d)
+        if plan is None:
+            core = _chain(self._link, topo._route(s, d, None))
+        else:
+            core = _EcmpPair.compile(self, *plan)
+        self._cores[(s, d)] = core
+        return core
+
+    def _compile_pair(self, src: str, dst: str):
+        """Assemble and store one endpoint pair's healthy route: the
+        source's up link, the fabric-node pair's core, the destination's
+        down link — the links of :meth:`Topology.route_entry`'s route
+        (raises :class:`NoPathError`, storing nothing, when there is
+        none)."""
+        s, up, __ = self._ends.get(src) or self._end(src)
+        d, __, down = self._ends.get(dst) or self._end(dst)
+        core = self._cores.get((s, d))
+        if core is None:
+            core = self._core(s, d)
+        if core.__class__ is tuple:
+            pair = up + core + down
+        elif up or down:
+            pair = core.joined(up, down)
+        else:
+            pair = core
         self._pairs[(src, dst)] = pair
         return pair
 

@@ -17,11 +17,16 @@ route that crosses a dead link is a property of the routing scheme:
   failure actually partitions the graph.  The leaf-spine fabric goes
   further and re-picks among its surviving equal-cost paths (ECMP).
 
-Routes are compiled, not searched per message: healthy routes by
-:meth:`Topology.route_entry`, valid until the graph changes, and
-degraded ones by :meth:`Topology.degraded_entry` from survivor tables
-valid for one failure set, which every link failure, recovery or
-addition throws away.
+Routes are compiled, not searched per message.  A healthy route is an
+endpoint's attachment hop, the route between the two fabric nodes
+(:meth:`Topology._route_plan`, or :meth:`Topology._route` when it is
+fixed), and the other endpoint's attachment hop; the network compiles
+the fabric part once per fabric-node pair, valid until the graph
+changes.  :meth:`Topology.route_entry` compiles a whole endpoint pair
+the same way; it is the reference :meth:`Topology.path` reads.
+Degraded routes come from :meth:`Topology.degraded_entry`, built from
+survivor tables valid for one failure set, which every link failure,
+recovery or addition throws away.
 """
 
 from __future__ import annotations
@@ -90,9 +95,11 @@ class Topology:
         #: given to :meth:`path` (attachment names included); see
         #: :meth:`route_entry`.  Only consulted when no link is failed;
         #: invalidated by :meth:`add_link` (and therefore :meth:`attach`).
+        #: Filled by :meth:`path` only: a Network compiles its own.
         self._route_cache: Dict[Tuple[str, str], object] = {}
-        #: Tables derived from ``_route_cache`` (each Network's per-pair
-        #: link tables), cleared whenever it is.
+        #: Tables derived from the healthy routes (each Network's
+        #: endpoint, fabric-pair and endpoint-pair link tables), cleared
+        #: with ``_route_cache``.
         self._route_dependents: List[dict] = []
         #: The surviving ECMP stage-index combinations of the current
         #: failure set, keyed by fabric node pair (see

@@ -20,6 +20,10 @@ class Resource:
     for reporting.
     """
 
+    __slots__ = ("engine", "capacity", "name", "busy", "_queue",
+                 "jobs_served", "busy_time", "wait_time_total",
+                 "max_queue_len")
+
     def __init__(self, engine, capacity: int = 1, name: str = ""):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")

@@ -204,6 +204,9 @@ class Server:
             self.topology.attach(self._village_nodes[v],
                                  self._leaves[self._village_clusters[v]],
                                  capacity=ports)
+        #: Every core, village by village: :meth:`busy_ns` sums them in
+        #: this order.
+        self._cores = [c for v in self.villages for c in v.cores]
         if cfg.work_steal:
             peers_of = self.rng.permutation(cfg.n_queues)
             for v, village in enumerate(self.villages):
@@ -756,10 +759,13 @@ class Server:
 
     # --------------------------------------------------------------- stats
 
+    def busy_ns(self) -> float:
+        """Busy core time so far, summed over every core."""
+        return sum(c.busy_ns for c in self._cores)
+
     def utilization(self) -> float:
-        total = sum(c.busy_ns for v in self.villages for c in v.cores)
         elapsed = self.engine.now * self.config.n_cores
-        return total / elapsed if elapsed > 0 else 0.0
+        return self.busy_ns() / elapsed if elapsed > 0 else 0.0
 
 
 class _ResilientCall:

@@ -355,28 +355,75 @@ def _mesh_fabric():
     return topo, [topo.tile(x, y) for x in range(3) for y in range(3)] + ["nic"]
 
 
+def _server_fabric(config):
+    """A full-scale server's topology (its villages attached to their
+    leaves) with a NIC attached to the last leaf as well."""
+    from repro.systems.cluster import ClusterSimulation
+    from repro.workloads.deathstar import deathstar_app
+
+    server = ClusterSimulation(config, deathstar_app("Text"),
+                               rps_per_server=1000.0, n_servers=1,
+                               duration_s=0.001, seed=3).servers[0]
+    topo = server.topology
+    topo.attach("nic", server._leaves[-1])
+    return topo, server._leaves + server._village_nodes + ["nic"]
+
+
+def _umanycore_fabric():
+    from repro.systems.configs import UMANYCORE
+
+    return _server_fabric(UMANYCORE)
+
+
+def _scaleout_fabric():
+    from repro.systems.configs import SCALEOUT
+
+    return _server_fabric(SCALEOUT)
+
+
+def _serverclass_fabric():
+    from repro.systems.configs import SERVERCLASS
+
+    return _server_fabric(SERVERCLASS)
+
+
 @pytest.mark.parametrize("fabric", [_leafspine_fabric, _fattree_fabric,
-                                    _mesh_fabric])
+                                    _mesh_fabric, _umanycore_fabric,
+                                    _scaleout_fabric, _serverclass_fabric])
 @pytest.mark.parametrize("seeded", [True, False])
 def test_route_tables_match_topology_paths(monkeypatch, fabric, seeded):
     """Every message's links are the links of ``Topology.path`` drawn
     from a twin generator, and both generators end in the same state:
-    the pair tables consume each draw ``path`` would, in the same order."""
+    the pair tables consume each draw ``path`` would, in the same order.
+
+    Sources are random, the destination itself (a self pair) or an
+    endpoint on the destination's fabric node (a same-leaf pair: a
+    village and its leaf, or two villages on one leaf)."""
     sent = _record_transits(monkeypatch)
     topo, endpoints = fabric()
     eng = Engine()
     net = Network(eng, topo, NetworkConfig(),
                   rng=np.random.default_rng(9) if seeded else None)
+    on_node = {}
+    for end in endpoints:
+        on_node.setdefault(topo._attachments.get(end, end), []).append(end)
     pick = np.random.default_rng(4)
+
+    def source(k, dst):
+        if k % 7 == 3:
+            return dst
+        near = on_node[topo._attachments.get(dst, dst)] if k % 7 == 5 \
+            else endpoints
+        return near[int(pick.integers(len(near)))]
+
     stream = []
     for i in range(1500):
         dst = endpoints[int(pick.integers(len(endpoints)))]
         if i % 5 == 0:
-            srcs = [endpoints[int(pick.integers(len(endpoints)))]
-                    for __ in range(4)]
+            srcs = [source(i + k, dst) for k in range(4)]
             net.send_fanout(iter(srcs), dst, 256, lambda: None)
         else:
-            srcs = [endpoints[int(pick.integers(len(endpoints)))]]
+            srcs = [source(i, dst)]
             net.send(srcs[0], dst, 256, lambda: None)
         stream += [(src, dst) for src in srcs]
         if i % 100 == 0:
@@ -392,10 +439,67 @@ def test_route_tables_match_topology_paths(monkeypatch, fabric, seeded):
     assert [list(links) for links in sent] == want
     assert len(sent) > 1000
     assert len(net._pairs) == len(set(stream))
+    assert any(src == dst for src, dst in stream)
+    assert any(src != dst and topo._attachments.get(src, src)
+               == topo._attachments.get(dst, dst) for src, dst in stream)
     if seeded:
         assert net.rng.bit_generator.state == twin.bit_generator.state
         if fabric is _leafspine_fabric:      # every stage choice was used
             assert len({tuple(links) for links in sent}) > 200
+
+
+def _walk_up_down(tree, src, dst):
+    """The fat-tree route by name: parse each end's ``ft{level}:{index}``
+    and climb the lower end (the source on a tie) until both meet."""
+    def parse(node):
+        level, index = node[2:].split(":")
+        return int(level), int(index)
+
+    if src == dst:
+        return [src]
+    (sl, si), (dl, di) = parse(src), parse(dst)
+    up, down = [src], [dst]
+    while (sl, si) != (dl, di):
+        if sl <= dl:
+            sl, si = sl + 1, si // 2
+            up.append(tree.switch(sl, si))
+        else:
+            dl, di = dl + 1, di // 2
+            down.append(tree.switch(dl, di))
+    return up + down[::-1][1:]
+
+
+@pytest.mark.parametrize("n_leaves", [2, 8, 32])
+def test_fattree_route_matches_the_up_down_walk(n_leaves):
+    """Every switch pair, leaves and inner switches alike."""
+    tree = FatTree(n_leaves=n_leaves)
+    switches = tree.nodes
+    assert len(switches) == tree.n_switches
+    for src in switches:
+        for dst in switches:
+            route = tree._route(src, dst)
+            assert route == _walk_up_down(tree, src, dst), (src, dst)
+            assert tree.validate_path(route)
+
+
+def test_route_tables_are_sized_by_the_fabric():
+    """A full-scale uManycore run compiles at most one core route per
+    pair of its 32 leaves, never fills the topology's reference route
+    cache, and holds no link resource the topology does not have."""
+    from repro.systems.cluster import ClusterSimulation
+    from repro.systems.configs import UMANYCORE
+    from repro.workloads.deathstar import deathstar_app
+
+    sim = ClusterSimulation(UMANYCORE, deathstar_app("MCompose"),
+                            rps_per_server=5000.0, n_servers=1,
+                            duration_s=0.02, seed=8)
+    sim.run()
+    server = sim.servers[0]
+    net, topo = server.network, server.topology
+    assert topo.n_leaves == 32
+    assert 0 < len(net._cores) <= 32 * 32 < len(net._pairs)
+    assert topo._route_cache == {}
+    assert len(net._links) <= len(topo.links)
 
 
 def test_route_tables_hold_one_entry_per_pair_and_no_variants():

@@ -1,6 +1,7 @@
 """Tests for the Server assembly and executor behaviour."""
 
 import numpy as np
+import pytest
 
 from repro.net.fabric import InterServerFabric, StorageBackend
 from repro.sim import Engine
@@ -124,6 +125,20 @@ def test_nested_service_calls_complete():
     assert len(done) == 1 and not done[0].rejected
     # Text calls urlshorten + usermention, each with 1 storage access.
     assert server.storage.accesses == 2
+
+
+@pytest.mark.parametrize("config", [UMANYCORE, SCALEOUT])
+def test_busy_ns_sums_cores_village_by_village(config):
+    """The flat core list keeps the nested village-then-core order, so
+    the float sum is the same to the last bit."""
+    engine, server, app = build_server(config, app_name="Text")
+    for __ in range(20):
+        server.client_request("Text", lambda rec: None)
+    engine.run()
+    nested = sum(c.busy_ns for v in server.villages for c in v.cores)
+    assert nested > 0
+    assert server.busy_ns().hex() == nested.hex()
+    assert server.utilization() == nested / (engine.now * config.n_cores)
 
 
 def test_cross_server_calls_route_through_fabric():
