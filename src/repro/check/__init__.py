@@ -11,18 +11,20 @@ ledgers at drain (requests, ICN messages, resource leaks, span trees).
 Entry points: pass ``check=CheckContext()`` to
 :class:`repro.systems.cluster.ClusterSimulation` / ``simulate``, use the
 ``--check`` CLI flags, or run the randomized harness via
-``repro validate`` (:mod:`repro.check.harness` — imported lazily here
-because it reaches back into the cluster layer).
+``repro validate`` (:mod:`repro.check.harness`).
+
+Only the null sanitizer loads with the package; the live one and the
+span-tree check load on first access (see :mod:`repro._lazy`).
 """
 
-from repro.check.context import (
-    NULL_CHECK,
-    CheckContext,
-    CheckError,
-    NullCheckContext,
-    Violation,
-)
-from repro.check.spans import check_span_tree
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+from repro.check.null import NULL_CHECK, NullCheckContext
+
+if TYPE_CHECKING:
+    from repro.check.context import CheckContext, CheckError, Violation
+    from repro.check.spans import check_span_tree
 
 __all__ = [
     "NULL_CHECK",
@@ -32,3 +34,8 @@ __all__ = [
     "Violation",
     "check_span_tree",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".context": ("CheckContext", "CheckError", "Violation"),
+    ".spans": ("check_span_tree",),
+})

@@ -23,7 +23,7 @@ import heapq
 from collections import deque
 from typing import Deque, List, Optional
 
-from repro.check.context import NULL_CHECK
+from repro.check.null import NULL_CHECK
 from repro.core.request import RequestRecord, RequestStatus
 
 

@@ -6,13 +6,19 @@ of :mod:`repro.dc.lb`), deterministic service placement/replication
 (:class:`Autoscaler`), all configured through one opt-in frozen
 :class:`DcConfig` threaded through ``simulate(..., dc=...)``, the sweep
 runner and the CLI.  ``dc=None`` keeps every run byte-identical to the
-pre-dc simulator.
+pre-dc simulator.  Only :class:`DcConfig` loads with the package; the
+tier itself loads when a simulation switches it on.
 """
 
-from repro.dc.autoscale import Autoscaler
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.dc.config import DcConfig
-from repro.dc.lb import FrontEndLB, LB_FACTORIES, LB_NAMES, get_lb_policy
-from repro.dc.placement import PlacementPlan
+
+if TYPE_CHECKING:
+    from repro.dc.autoscale import Autoscaler
+    from repro.dc.lb import FrontEndLB, LB_FACTORIES, LB_NAMES, get_lb_policy
+    from repro.dc.placement import PlacementPlan
 
 __all__ = [
     "Autoscaler",
@@ -23,3 +29,9 @@ __all__ = [
     "PlacementPlan",
     "get_lb_policy",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".autoscale": ("Autoscaler",),
+    ".lb": ("FrontEndLB", "LB_FACTORIES", "LB_NAMES", "get_lb_policy"),
+    ".placement": ("PlacementPlan",),
+})

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.check.context import NULL_CHECK
+from repro.check.null import NULL_CHECK
 
 
 class Autoscaler:

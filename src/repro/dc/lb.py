@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.check.context import NULL_CHECK
+from repro.check.null import NULL_CHECK
 
 
 class LBPolicy:

@@ -15,12 +15,19 @@ top of the simulator:
 
 An empty schedule and a ``None`` resilience config are the default
 everywhere, and in that mode every code path is byte-identical to a
-simulator that never loaded this package.
+simulator that never loaded this package.  The schedule and the
+resilience config load with the package; the injector loads when a
+simulation installs a schedule.
 """
 
-from repro.faults.injector import FaultInjector, fault_inventory
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.faults.resilience import ResilienceConfig
 from repro.faults.schedule import FaultEvent, FaultSchedule, merge
+
+if TYPE_CHECKING:
+    from repro.faults.injector import FaultInjector, fault_inventory
 
 __all__ = [
     "FaultEvent",
@@ -30,3 +37,7 @@ __all__ = [
     "fault_inventory",
     "merge",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".injector": ("FaultInjector", "fault_inventory"),
+})

@@ -46,6 +46,9 @@ class HierarchicalLeafSpine(Topology):
         self._leaf_names = [
             self.leaf_name(i // leaves_per_pod, i % leaves_per_pod)
             for i in range(n_pods * leaves_per_pod)]
+        #: Leaf name -> pod, read by every route compile.
+        self._pod_of = {name: i // leaves_per_pod
+                        for i, name in enumerate(self._leaf_names)}
         #: ECMP stage node lists: each pod's spines, and the core level.
         self._pod_spines = [[self.spine_name(pod, s)
                              for s in range(spines_per_pod)]
@@ -87,8 +90,12 @@ class HierarchicalLeafSpine(Topology):
         """
         if src == dst:
             return None
-        src_pod, __ = self._parse_leaf(src)
-        dst_pod, __ = self._parse_leaf(dst)
+        try:
+            src_pod = self._pod_of[src]
+            dst_pod = self._pod_of[dst]
+        except KeyError as missing:
+            raise ValueError("leaf-spine routing endpoints must be leaves: "
+                             f"{missing.args[0]}") from None
         if src_pod == dst_pod:
             return [src], [self._pod_spines[src_pod]], [dst]
         return [src], [self._pod_spines[src_pod], self._cores,
@@ -109,10 +116,3 @@ class HierarchicalLeafSpine(Topology):
         choices = (self._alive_choices(src, dst) if alive_only
                    else self._all_choices(plan[1]))
         return [pick_path(plan, ks) for ks in choices]
-
-    @staticmethod
-    def _parse_leaf(node: str):
-        if not node.startswith("leaf"):
-            raise ValueError(f"leaf-spine routing endpoints must be leaves: {node}")
-        pod, leaf = node[4:].split(":")
-        return int(pod), int(leaf)

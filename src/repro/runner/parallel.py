@@ -15,11 +15,13 @@ it drop-in for the figure harnesses:
   ResultCache` attached, hits are served before the pool spins up and
   fresh results are written back by the parent, so an interrupted sweep
   resumes from what it already computed.
+
+``multiprocessing`` is imported only where a pool is spawned, so a
+serial or fully cached sweep never loads it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from typing import Callable, List, Optional, Sequence
 
@@ -40,10 +42,11 @@ def _run_indexed(item):
         lets the parent restore submission order; the worker name feeds
         live per-worker progress displays.
     """
+    from multiprocessing import current_process
     index, point = item
     t0 = time.perf_counter()
     result = point.run()
-    return (index, result, multiprocessing.current_process().name,
+    return (index, result, current_process().name,
             time.perf_counter() - t0)
 
 
@@ -106,6 +109,7 @@ class ParallelRunner:
                              time.perf_counter() - t0)
             return results  # type: ignore[return-value]
 
+        import multiprocessing
         ctx = multiprocessing.get_context("spawn")
         workers = min(self.jobs, len(pending))
         with ctx.Pool(processes=workers) as pool:

@@ -18,14 +18,25 @@ have similar durations and blocking calls already interleave work.
 Every policy is implemented so the claim can be tested (the figS
 experiment compares them), and :mod:`repro.sched.queueing` provides
 M/M/c formulas used to validate the simulator against theory.
+
+Each module loads on first access to one of its names, so a simulation
+never loads the queueing formulas unless the hybrid fast path needs
+them.
 """
 
-from repro.sched.dispatch import DISPATCH_NAMES, DispatchPolicy, \
-    get_dispatch_policy
-from repro.sched.policies import FCFS_POLICY, POLICY_NAMES, SRPT_POLICY, \
-    DequeuePolicy, get_policy
-from repro.sched.queueing import erlang_c, mmc_mean_sojourn, mmc_mean_wait
-from repro.sched.stealing import STEAL_NAMES, StealPolicy, get_steal_policy
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.sched.dispatch import (
+        DISPATCH_NAMES, DispatchPolicy, get_dispatch_policy,
+    )
+    from repro.sched.policies import (
+        FCFS_POLICY, POLICY_NAMES, SRPT_POLICY, DequeuePolicy, get_policy,
+    )
+    from repro.sched.queueing import erlang_c, mmc_mean_sojourn, mmc_mean_wait
+    from repro.sched.stealing import STEAL_NAMES, StealPolicy, get_steal_policy
 
 __all__ = [
     "DequeuePolicy",
@@ -43,3 +54,11 @@ __all__ = [
     "mmc_mean_wait",
     "mmc_mean_sojourn",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".dispatch": ("DISPATCH_NAMES", "DispatchPolicy", "get_dispatch_policy"),
+    ".policies": ("FCFS_POLICY", "POLICY_NAMES", "SRPT_POLICY",
+                  "DequeuePolicy", "get_policy"),
+    ".queueing": ("erlang_c", "mmc_mean_sojourn", "mmc_mean_wait"),
+    ".stealing": ("STEAL_NAMES", "StealPolicy", "get_steal_policy"),
+})

@@ -26,7 +26,7 @@ from itertools import islice
 from operator import le
 from typing import Any, Callable, Iterable, Optional
 
-from repro.check.context import NULL_CHECK
+from repro.check.null import NULL_CHECK
 from repro.telemetry.tracer import NULL_TRACER
 
 

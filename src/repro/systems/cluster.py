@@ -4,21 +4,18 @@
 a shared storage tier, drives one application with Poisson arrivals at a
 given per-server load, and returns latency/throughput statistics with the
 warm-up window excluded.
+
+Each opt-in layer (the dc tier, fault injection, the hybrid fast path,
+the metrics sampler, the span breakdown) is imported where it is
+switched on, so a run that leaves it off never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.check.context import NULL_CHECK, NullCheckContext
-from repro.dc.autoscale import Autoscaler
-from repro.dc.config import DcConfig
-from repro.dc.lb import AffinityLB, FrontEndLB, get_lb_policy
-from repro.dc.placement import PlacementPlan
-from repro.faults import FaultInjector, FaultSchedule, ResilienceConfig
-from repro.hybrid.config import HybridConfig
-from repro.hybrid.controller import HybridController
+from repro.check.null import NULL_CHECK
 from repro.metrics.latency import LatencyRecorder, LatencySummary, \
     pooled_summary
 from repro.net.fabric import FabricConfig, InterServerFabric, StorageBackend
@@ -26,9 +23,22 @@ from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 from repro.systems.configs import SystemConfig
 from repro.systems.server import Server
-from repro.telemetry import MetricsRegistry, NullTracer, aggregate_breakdown
 from repro.workloads.arrival import get_profile
 from repro.workloads.spec import AppSpec
+
+if TYPE_CHECKING:
+    from repro.check.null import NullCheckContext
+    from repro.dc.autoscale import Autoscaler
+    from repro.dc.config import DcConfig
+    from repro.dc.lb import FrontEndLB
+    from repro.dc.placement import PlacementPlan
+    from repro.faults.injector import FaultInjector
+    from repro.faults.resilience import ResilienceConfig
+    from repro.faults.schedule import FaultSchedule
+    from repro.hybrid.config import HybridConfig
+    from repro.hybrid.controller import HybridController
+    from repro.telemetry.metrics import MetricsRegistry
+    from repro.telemetry.tracer import NullTracer
 
 
 @dataclass(frozen=True)
@@ -101,6 +111,7 @@ class RunResult:
         :mod:`repro.telemetry.breakdown`); None without tracing."""
         if self.tracer is None or not getattr(self.tracer, "enabled", False):
             return None
+        from repro.telemetry.breakdown import aggregate_breakdown
         return aggregate_breakdown(self.tracer, after_ns=self.warmup_ns)
 
     def as_dict(self) -> dict:
@@ -177,8 +188,10 @@ class ClusterSimulation:
         self.tracer = tracer
         if tracer is not None:
             self.engine.tracer = tracer     # every layer reports through it
-        self.metrics: Optional[MetricsRegistry] = \
-            MetricsRegistry() if metrics_interval_ns else None
+        self.metrics: Optional[MetricsRegistry] = None
+        if metrics_interval_ns:
+            from repro.telemetry.metrics import MetricsRegistry
+            self.metrics = MetricsRegistry()
         self.metrics_interval_ns = metrics_interval_ns
         self.streams = RngStreams(seed)
         self.fabric = InterServerFabric(self.engine, n_servers, fabric_config)
@@ -191,6 +204,7 @@ class ClusterSimulation:
         self.dc = dc
         self.placement: Optional[PlacementPlan] = None
         if dc is not None and dc.replication > 0:
+            from repro.dc.placement import PlacementPlan
             services = sorted({s for a in apps.values() for s in a.services})
             roots = {a.root for a in apps.values()}
             self.placement = PlacementPlan.build(
@@ -210,6 +224,7 @@ class ClusterSimulation:
         self.server_answered: Optional[list] = None
         self.server_recorders: Optional[list] = None
         if dc is not None:
+            from repro.dc.lb import FrontEndLB, get_lb_policy
             policy = get_lb_policy(dc.lb, dc.spill_margin)
             lb_rng = self.streams.stream("lb") if policy.needs_rng else None
             self.lb = FrontEndLB(n_servers, policy, rng=lb_rng,
@@ -219,6 +234,7 @@ class ClusterSimulation:
                 LatencyRecorder(name=f"{config.name}/s{i}")
                 for i in range(n_servers)]
             if dc.autoscale:
+                from repro.dc.autoscale import Autoscaler
                 self.autoscaler = Autoscaler(self.engine, self.lb,
                                              self.servers, dc,
                                              check=self.check)
@@ -231,6 +247,7 @@ class ClusterSimulation:
         # an injector, arm a timeout, or take a new branch.
         self.faults = faults if faults else None
         if self.faults is not None and resilience is None:
+            from repro.faults.resilience import ResilienceConfig
             resilience = ResilienceConfig()   # faults demand a response
         self.resilience = resilience
         self.injector: Optional[FaultInjector] = None
@@ -238,12 +255,15 @@ class ClusterSimulation:
             for server in self.servers:
                 server.resilience = self.resilience
         if self.faults is not None:
+            from repro.faults.injector import FaultInjector
             self.injector = FaultInjector(self.engine, self.servers,
                                           self.faults)
         # Hybrid fast path (repro.hybrid): built last so its structural
         # guards can see the injector/autoscaler; installed in run().
-        self.hybrid: Optional[HybridController] = \
-            HybridController(self, hybrid) if hybrid is not None else None
+        self.hybrid: Optional[HybridController] = None
+        if hybrid is not None:
+            from repro.hybrid.controller import HybridController
+            self.hybrid = HybridController(self, hybrid)
         if self.metrics is not None:
             self._register_gauges()
 
@@ -258,13 +278,16 @@ class ClusterSimulation:
         component the cluster does not have.
         """
         faults = faults if faults else None
-        # Built first: it checks every target before anything changes.
-        injector = (FaultInjector(self.engine, self.servers, faults)
-                    if faults is not None else None)
+        injector = None
+        if faults is not None:
+            # Built first: it checks every target before anything changes.
+            from repro.faults.injector import FaultInjector
+            injector = FaultInjector(self.engine, self.servers, faults)
         self.faults = faults
         if faults is None and resilience is None:
             return
         if resilience is None and self.resilience is None:
+            from repro.faults.resilience import ResilienceConfig
             resilience = ResilienceConfig()
         if resilience is not None:
             self.resilience = resilience
@@ -455,6 +478,7 @@ class ClusterSimulation:
             stats["per_server"].append(entry)
         pooled = pooled_summary(self.server_recorders, after_ns=warmup_ns)
         stats["pooled"] = pooled.as_dict()
+        from repro.dc.lb import AffinityLB
         if isinstance(self.lb.policy, AffinityLB):
             stats["spills"] = self.lb.policy.spills
         if self.autoscaler is not None:

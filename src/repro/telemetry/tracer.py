@@ -30,7 +30,11 @@ class NullTracer:
     every method.
     """
 
-    enabled: bool = False
+    def __init__(self) -> None:
+        #: An instance attribute, not a class one: CPython specializes
+        #: the load of an instance attribute, and every hook site
+        #: guards on this flag.
+        self.enabled = False
 
     def begin_request(self, rec, now: float, parent=None) -> None:
         """A request (root or nested RPC) entered the system."""
@@ -70,10 +74,9 @@ class _RequestInfo:
 class Tracer(NullTracer):
     """Collects spans for one simulation run."""
 
-    enabled = True
-
     def __init__(self) -> None:
         """Start an empty trace."""
+        self.enabled = True
         self.spans: List[Span] = []
         self.requests: List[_RequestInfo] = []
         self._by_req_id: Dict[int, _RequestInfo] = {}

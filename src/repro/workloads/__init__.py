@@ -1,18 +1,33 @@
-"""Workload generators: service graphs, arrivals, and trace statistics."""
+"""Workload generators: service graphs, arrivals, and trace statistics.
 
-from repro.workloads.alibaba import AlibabaTraceGenerator
+Service specs and arrival profiles load with the package; the app
+catalogues, synthetic apps and trace replay load on first access.
+"""
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.workloads.arrival import (ARRIVAL_NAMES, PROFILES, BurstyProfile,
                                      ConstantProfile, DiurnalProfile,
                                      FlashCrowdProfile, MmppProfile,
                                      PiecewiseProfile, PoissonArrivals,
                                      RateProfile, arrival_times,
                                      bursty_arrival_times, get_profile)
-from repro.workloads.deathstar import (DEATHSTAR_APPS, SOCIAL_NETWORK_APPS,
-                                       deathstar_app, social_network_app)
-from repro.workloads.replay import (TraceReplay, load_trace, resolve_trace,
-                                    sample_alibaba_trace, save_trace)
 from repro.workloads.spec import STORAGE, AppSpec, CallSpec, ServiceSpec
-from repro.workloads.synthetic import SYNTHETIC_DISTRIBUTIONS, synthetic_app
+
+if TYPE_CHECKING:
+    from repro.workloads.alibaba import AlibabaTraceGenerator
+    from repro.workloads.deathstar import (
+        DEATHSTAR_APPS, SOCIAL_NETWORK_APPS, deathstar_app,
+        social_network_app,
+    )
+    from repro.workloads.replay import (
+        TraceReplay, load_trace, resolve_trace, sample_alibaba_trace,
+        save_trace,
+    )
+    from repro.workloads.synthetic import (
+        SYNTHETIC_DISTRIBUTIONS, synthetic_app,
+    )
 
 __all__ = [
     "ServiceSpec",
@@ -45,3 +60,12 @@ __all__ = [
     "SYNTHETIC_DISTRIBUTIONS",
     "AlibabaTraceGenerator",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".alibaba": ("AlibabaTraceGenerator",),
+    ".deathstar": ("DEATHSTAR_APPS", "SOCIAL_NETWORK_APPS", "deathstar_app",
+                   "social_network_app"),
+    ".replay": ("TraceReplay", "load_trace", "resolve_trace",
+                "sample_alibaba_trace", "save_trace"),
+    ".synthetic": ("SYNTHETIC_DISTRIBUTIONS", "synthetic_app"),
+})

@@ -165,6 +165,35 @@ def test_leafspine_rejects_non_leaf_endpoints():
         ls.path("core0", ls.leaf(0))
 
 
+def _parsed_route_plan(ls, src, dst):
+    """The route plan derived by parsing the pods out of the leaf names."""
+    if src == dst:
+        return None
+    src_pod = int(src[len("leaf"):].split(":")[0])
+    dst_pod = int(dst[len("leaf"):].split(":")[0])
+    if src_pod == dst_pod:
+        return [src], [ls._pod_spines[src_pod]], [dst]
+    return [src], [ls._pod_spines[src_pod], ls._cores,
+                   ls._pod_spines[dst_pod]], [dst]
+
+
+@pytest.mark.parametrize("geometry", [
+    {}, {"n_pods": 3, "leaves_per_pod": 2, "spines_per_pod": 3, "n_core": 2}])
+def test_leafspine_route_plan_matches_parsed_names(geometry):
+    """The name -> pod table gives every leaf pair the plan the parsed
+    names gave, and a spine or core endpoint still raises."""
+    ls = HierarchicalLeafSpine(**geometry)
+    leaves = [ls.leaf(i) for i in range(ls.n_leaves)]
+    for src in leaves:
+        for dst in leaves:
+            assert ls._route_plan(src, dst) == _parsed_route_plan(ls, src, dst)
+    for node in (ls.spine_name(0, 0), ls.core_name(0)):
+        with pytest.raises(ValueError, match="must be leaves"):
+            ls._route_plan(node, leaves[-1])
+        with pytest.raises(ValueError, match="must be leaves"):
+            ls._route_plan(leaves[0], node)
+
+
 @given(st.integers(0, 31), st.integers(0, 31), st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_leafspine_path_property(a, b, seed):
