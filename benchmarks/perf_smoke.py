@@ -124,7 +124,7 @@ def measure() -> dict:
         "clean_p99_us": round(clean.p99_ns / 1e3, 3),
         "faulted_p99_us": round(faulted.p99_ns / 1e3, 3),
         "faulted_completed": faulted.completed,
-        "faulted_retries": int(faulted.fault_stats["rpc_retries"]),
+        "faulted_retries": int(faulted.stats["faults"]["rpc_retries"]),
     }
 
 
@@ -287,7 +287,7 @@ def measure_hybrid() -> dict:
         det_walls.append(wall)
         wall, hyb = _hybrid_run(HYBRID_DURATION_S, HybridConfig())
         hyb_walls.append(wall)
-    stats = hyb.hybrid_stats
+    stats = hyb.stats["hybrid"]
     return {
         "detailed_wall_s": round(min(det_walls), 4),
         "hybrid_wall_s": round(min(hyb_walls), 4),

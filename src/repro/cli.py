@@ -38,11 +38,23 @@ SYSTEMS = {
     "serverclass128": SERVERCLASS_128,
 }
 
-EXPERIMENTS = [
-    "fig01", "fig02", "fig03", "fig04", "fig05", "fig06", "fig07", "fig08",
-    "fig09", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20",
-    "figD", "figF", "figH", "figS", "figW", "sec68", "power", "all",
-]
+#: Experiment id -> module under :mod:`repro.experiments`.
+EXPERIMENT_MODULES = {
+    "fig01": "fig01_microarch", "fig02": "fig02_rps_cdf",
+    "fig03": "fig03_queues", "fig04": "fig04_cpu_util",
+    "fig05": "fig05_rpc_count", "fig06": "fig06_context_switch",
+    "fig07": "fig07_icn_contention", "fig08": "fig08_footprint",
+    "fig09": "fig09_hit_rates", "fig14": "fig14_tail_latency",
+    "fig15": "fig15_breakdown", "fig16": "fig16_avg_latency",
+    "fig17": "fig17_tail_to_avg", "fig18": "fig18_throughput",
+    "fig19": "fig19_sensitivity", "fig20": "fig20_synthetic",
+    "figD": "figD_datacenter", "figF": "figF_faults",
+    "figH": "figH_hybrid", "figS": "figS_policies",
+    "figW": "figW_scenarios",
+    "sec68": "sec68_iso_area", "power": "power_area",
+    "all": "run_all",
+}
+EXPERIMENTS = list(EXPERIMENT_MODULES)
 
 
 def _resolve_app(name: str):
@@ -226,8 +238,9 @@ def _print_summary(result, json_mode: bool) -> None:
     print(f"mean       : {s.mean / 1e3:.1f} us")
     print(f"P50 / P99  : {s.p50 / 1e3:.1f} / {s.p99 / 1e3:.1f} us")
     print(f"tail/avg   : {s.tail_to_average:.2f}")
-    if result.fault_stats is not None:
-        fs = result.fault_stats
+    stats = result.stats
+    if "faults" in stats:
+        fs = stats["faults"]
         print(f"failed     : {result.failed} "
               f"(availability {result.availability:.4f}, "
               f"goodput {result.goodput_rps:.0f} RPS)")
@@ -237,8 +250,8 @@ def _print_summary(result, json_mode: bool) -> None:
               f"{int(fs['blackholed'])} blackholed, "
               f"{int(fs['icn_dropped'])}/{int(fs['nic_dropped'])} "
               f"icn/nic drops")
-    if result.hybrid_stats is not None:
-        hs = result.hybrid_stats
+    if "hybrid" in stats:
+        hs = stats["hybrid"]
         committed = ", ".join(hs["services_committed"]) or "-"
         at = (f" @{hs['committed_at_ns'] / 1e6:.1f} ms"
               if hs["committed_at_ns"] is not None else "")
@@ -247,8 +260,8 @@ def _print_summary(result, json_mode: bool) -> None:
               f"{hs['roots_elided']} roots / {hs['calls_elided']} calls "
               f"elided (~{hs['events_elided']} events), "
               f"{hs['aborts']} aborts")
-    if result.dc_stats is not None:
-        dcs = result.dc_stats
+    if "dc" in stats:
+        dcs = stats["dc"]
         extra = ""
         if dcs.get("scale_events") is not None:
             extra = (f", {dcs['scale_ups']} scale-ups / "
@@ -340,9 +353,9 @@ def cmd_faults(args) -> None:
     """
     result = _run_simulation(args)
     _print_summary(result, args.json)
-    if args.json or result.fault_stats is None:
+    if args.json or "faults" not in result.stats:
         return
-    inj = result.fault_stats.get("injected")
+    inj = result.stats["faults"].get("injected")
     if inj:
         kinds = ", ".join(f"{k}={v}"
                           for k, v in sorted(inj["by_kind"].items()))
@@ -364,7 +377,7 @@ def cmd_dc(args) -> None:
     _print_summary(result, args.json)
     if args.json:
         return
-    dcs = result.dc_stats
+    dcs = result.stats["dc"]
     rows = []
     for entry in dcs["per_server"]:
         rows.append([
@@ -443,21 +456,6 @@ def cmd_experiment(args) -> None:
     """Regenerate one paper figure (or, with ``all``, every table)."""
     import importlib
 
-    mapping = {
-        "fig01": "fig01_microarch", "fig02": "fig02_rps_cdf",
-        "fig03": "fig03_queues", "fig04": "fig04_cpu_util",
-        "fig05": "fig05_rpc_count", "fig06": "fig06_context_switch",
-        "fig07": "fig07_icn_contention", "fig08": "fig08_footprint",
-        "fig09": "fig09_hit_rates", "fig14": "fig14_tail_latency",
-        "fig15": "fig15_breakdown", "fig16": "fig16_avg_latency",
-        "fig17": "fig17_tail_to_avg", "fig18": "fig18_throughput",
-        "fig19": "fig19_sensitivity", "fig20": "fig20_synthetic",
-        "figD": "figD_datacenter", "figF": "figF_faults",
-        "figH": "figH_hybrid", "figS": "figS_policies",
-        "figW": "figW_scenarios",
-        "sec68": "sec68_iso_area", "power": "power_area",
-        "all": "run_all",
-    }
     overrides = _policy_overrides(args)
     if overrides:
         from repro.experiments.common import set_policy_overrides
@@ -468,7 +466,8 @@ def cmd_experiment(args) -> None:
         from repro.experiments.common import set_hybrid_override
 
         set_hybrid_override(hybrid)
-    module = importlib.import_module(f"repro.experiments.{mapping[args.id]}")
+    module = importlib.import_module(
+        f"repro.experiments.{EXPERIMENT_MODULES[args.id]}")
     if args.id == "all":
         module.main(jobs=args.jobs, use_cache=not args.no_cache,
                     check=args.check, quick=args.quick)

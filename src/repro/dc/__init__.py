@@ -6,18 +6,18 @@ of :mod:`repro.dc.lb`), deterministic service placement/replication
 (:class:`Autoscaler`), all configured through one opt-in frozen
 :class:`DcConfig` threaded through ``simulate(..., dc=...)``, the sweep
 runner and the CLI.  ``dc=None`` keeps every run byte-identical to the
-pre-dc simulator.  Only :class:`DcConfig` loads with the package; the
-tier itself loads when a simulation switches it on.
+pre-dc simulator.  Only :class:`DcConfig` and ``LB_NAMES`` load with
+the package; the tier itself loads when a simulation switches it on.
 """
 
 from typing import TYPE_CHECKING
 
 from repro._lazy import lazy_exports
-from repro.dc.config import DcConfig
+from repro.dc.config import LB_NAMES, DcConfig
 
 if TYPE_CHECKING:
     from repro.dc.autoscale import Autoscaler
-    from repro.dc.lb import FrontEndLB, LB_FACTORIES, LB_NAMES, get_lb_policy
+    from repro.dc.lb import FrontEndLB, LB_FACTORIES, get_lb_policy
     from repro.dc.placement import PlacementPlan
 
 __all__ = [
@@ -32,6 +32,6 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".autoscale": ("Autoscaler",),
-    ".lb": ("FrontEndLB", "LB_FACTORIES", "LB_NAMES", "get_lb_policy"),
+    ".lb": ("FrontEndLB", "LB_FACTORIES", "get_lb_policy"),
     ".placement": ("PlacementPlan",),
 })

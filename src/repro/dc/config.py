@@ -12,6 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: The registered front-end policy names (the CLI's ``--lb`` choices),
+#: sorted; :data:`repro.dc.lb.LB_FACTORIES` maps each to its policy.
+#: Spelled out here so validating a config never loads the LB module.
+LB_NAMES = ("affinity", "least", "p2c", "random", "rr")
+
 
 @dataclass(frozen=True)
 class DcConfig:
@@ -58,8 +63,6 @@ class DcConfig:
 
     def __post_init__(self):
         """Validate against the LB registry and sanity-check the knobs."""
-        from repro.dc.lb import LB_NAMES
-
         if self.lb not in LB_NAMES:
             raise ValueError(f"unknown lb policy {self.lb!r}; "
                              f"known: {list(LB_NAMES)}")

@@ -161,9 +161,6 @@ LB_FACTORIES = {
     "affinity": AffinityLB,
 }
 
-#: The registered policy names (the CLI's ``--lb`` choices).
-LB_NAMES = tuple(sorted(LB_FACTORIES))
-
 
 def get_lb_policy(name: str, spill_margin: int = 4) -> LBPolicy:
     """Instantiate one LB policy by registry name."""

@@ -104,7 +104,7 @@ def _size_rows(results, sizes):
     for lb in POLICIES:
         for n in sizes:
             r = results[("size", lb, n)]
-            dc = r.dc_stats
+            dc = r.stats["dc"]
             pooled = dc["pooled"]
             rows.append([lb, n, f"{LOAD_RPS:g}",
                          f"{pooled['p50'] / 1e3:.1f}",
@@ -119,7 +119,7 @@ def _straggler_rows(results, n):
     rows = []
     for lb in STRAGGLER_POLICIES:
         r = results[("straggler", lb, n)]
-        dc = r.dc_stats
+        dc = r.stats["dc"]
         slow = dc["routed"][0]
         rows.append([lb,
                      f"{dc['pooled']['p50'] / 1e3:.1f}",
@@ -161,11 +161,11 @@ def main(settings: Optional[Settings] = None) -> None:
     for lb in STRAGGLER_POLICIES[1:]:
         r = results[("straggler", lb, n_straggler)]
         print(f"  {lb:5s} p99 = {r.p99_ns / rr.p99_ns:5.2f}x rr "
-              f"(routed {r.dc_stats['routed'][0]} to the straggler "
-              f"vs rr's {rr.dc_stats['routed'][0]})")
+              f"(routed {r.stats['dc']['routed'][0]} to the straggler "
+              f"vs rr's {rr.stats['dc']['routed'][0]})")
 
     a = results[("autoscale", AUTOSCALE_DC.lb, n_straggler)]
-    dc = a.dc_stats
+    dc = a.stats["dc"]
     print(f"\nFigure D: autoscale drain ({n_straggler} servers @ "
           f"{AUTOSCALE_RPS:g} RPS/server, floor "
           f"{AUTOSCALE_DC.min_servers})\n")

@@ -119,7 +119,7 @@ def main() -> None:
             r = results[(cfg.name, k)]
             if k == 0:
                 base_p99[cfg.name] = r.p99_ns
-            fs = r.fault_stats or {}
+            fs = r.stats.get("faults", {})
             rows.append([
                 cfg.name, k,
                 f"{r.p99_ns / 1e3:.0f}",

@@ -112,7 +112,7 @@ def _rows(results, loads, faulted: bool):
     for label, __ in COMBOS:
         for rps in loads:
             r = results[(label, faulted, rps)]
-            ss = r.sched_stats or {}
+            ss = r.stats.get("sched", {})
             row = [label, f"{rps:g}",
                    f"{r.summary.p50 / 1e3:.1f}",
                    f"{r.p99_ns / 1e3:.1f}",
@@ -161,7 +161,7 @@ def main(settings: Optional[Settings] = None,
     for on in (False, True):
         for rps in BYPASS_LOADS:
             r = bypass[(on, rps)]
-            ss = r.sched_stats or {}
+            ss = r.stats.get("sched", {})
             rows.append(["bypass" if on else "queued", f"{rps:g}",
                          f"{r.summary.p50 / 1e3:.1f}",
                          f"{r.p99_ns / 1e3:.1f}",

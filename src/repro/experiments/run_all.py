@@ -18,6 +18,7 @@ settings already printed.
 from __future__ import annotations
 
 import argparse
+import inspect
 import time
 
 from repro.experiments import (
@@ -86,10 +87,7 @@ def _run_section(title, runner, settings) -> None:
         fig14_tail_latency.main(settings=settings, progress=False)
         fig16_avg_latency.main(settings=settings, progress=False)
         fig17_tail_to_avg.main(settings=settings, progress=False)
-    elif runner in (fig15_breakdown.main, fig19_sensitivity.main,
-                    fig20_synthetic.main, sec68_iso_area.main,
-                    figS_policies.main, figD_datacenter.main,
-                    figH_hybrid.main, figW_scenarios.main):
+    elif "settings" in inspect.signature(runner).parameters:
         runner(settings=settings)
     else:
         runner()

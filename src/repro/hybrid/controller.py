@@ -374,7 +374,7 @@ class HybridController:
     # --------------------------------------------------------------- stats
 
     def stats(self) -> dict:
-        """JSON-safe ``hybrid_stats`` payload (deterministic ordering)."""
+        """JSON-safe ``stats["hybrid"]`` entry, in deterministic order."""
         sim = self.sim
         out = {
             "tol": self.cfg.tol,

@@ -9,7 +9,7 @@ Two pieces live here:
   latency shape rather than an assumed one.
 * :class:`MGkModel` — an M/G/k multi-server queue (Allen–Cunneen
   approximation over Erlang C) parameterized from measured moments.
-  It supplies sanity numbers for ``hybrid_stats`` (utilization,
+  It supplies sanity numbers for ``stats["hybrid"]`` (utilization,
   saturation rate) and the fig18 warm-start saturation estimate via
   :func:`service_demand_ns`.
 """

@@ -34,7 +34,8 @@ class NicConfig:
 
 
 class LNic:
-    """Lossless on-package NIC: serialization + fixed RPC processing."""
+    """Lossless on-package NIC: serialization + fixed RPC processing
+    (+ the config's transport overhead, which is 0 for an L-NIC)."""
 
     def __init__(self, engine: Engine, config: Optional[NicConfig] = None,
                  name: str = ""):
@@ -84,36 +85,21 @@ class LNic:
         if self.engine.tracer.enabled:
             done = self._traced(done, rec)
         cfg = self.config
-        service = cfg.rpc_processing_ns + size_bytes / cfg.bytes_per_ns
+        service = (cfg.rpc_processing_ns + cfg.transport_overhead_ns
+                   + size_bytes / cfg.bytes_per_ns)
         # A lambda of this module rather than ``done`` itself, so port
         # completions are owned by (and profile as) the NIC layer.
         self._port.acquire(service, lambda: done())
 
 
 class RNic(LNic):
-    """Lossy-network NIC: adds transport (retransmission logic, flow and
-    congestion control bookkeeping) on top of the L-NIC datapath."""
+    """Lossy-network NIC: the L-NIC datapath, with a transport overhead
+    (retransmission logic, flow and congestion control bookkeeping)."""
 
     def __init__(self, engine: Engine, config: Optional[NicConfig] = None,
                  name: str = ""):
         config = config or NicConfig(transport_overhead_ns=200.0)
         super().__init__(engine, config, name)
-
-    def process(self, size_bytes: int, done: Callable[[], None],
-                rec=None) -> None:
-        if self.failed:
-            self.dropped += 1
-            check = self.engine.check
-            if check.enabled:
-                check.nic_drop(self)
-            return
-        self.messages += 1
-        if self.engine.tracer.enabled:
-            done = self._traced(done, rec)
-        cfg = self.config
-        service = (cfg.rpc_processing_ns + cfg.transport_overhead_ns
-                   + size_bytes / cfg.bytes_per_ns)
-        self._port.acquire(service, lambda: done())
 
 
 class TopLevelNic:

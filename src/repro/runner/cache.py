@@ -28,7 +28,7 @@ from repro.metrics.latency import LatencySummary
 from repro.systems.cluster import RunResult
 
 #: Bump when the entry layout changes; mismatched entries are evicted.
-SCHEMA = 4
+SCHEMA = 5
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -75,10 +75,7 @@ def result_to_dict(result: RunResult) -> dict:
         "offered": result.offered,
         "warmup_ns": result.warmup_ns,
         "failed": result.failed,
-        "fault_stats": result.fault_stats,
-        "sched_stats": result.sched_stats,
-        "dc_stats": result.dc_stats,
-        "hybrid_stats": result.hybrid_stats,
+        "stats": result.stats,
     }
 
 
@@ -106,9 +103,7 @@ def result_from_dict(doc: dict) -> RunResult:
         duration_s=doc["duration_s"], summary=summary,
         completed=doc["completed"], rejected=doc["rejected"],
         offered=doc["offered"], warmup_ns=doc["warmup_ns"],
-        failed=doc["failed"], fault_stats=doc["fault_stats"],
-        sched_stats=doc["sched_stats"], dc_stats=doc["dc_stats"],
-        hybrid_stats=doc["hybrid_stats"])
+        failed=doc["failed"], stats=doc["stats"])
 
 
 class ResultCache:

@@ -120,10 +120,6 @@ class DeadlinePolicy(DequeuePolicy):
 FCFS_POLICY = FcfsPolicy()
 SRPT_POLICY = SrptPolicy()
 
-#: Stateless singletons (kept for back-compat with callers comparing by
-#: identity); stateful policies only appear in :data:`POLICY_FACTORIES`.
-POLICIES = {"fcfs": FCFS_POLICY, "srpt": SRPT_POLICY}
-
 #: name -> zero-arg factory.  Stateless policies return their shared
 #: singleton; stateful ones (SJF) build a fresh instance per call.
 POLICY_FACTORIES = {

@@ -12,7 +12,7 @@ switched on, so a run that leaves it off never loads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.check.null import NULL_CHECK
@@ -66,25 +66,18 @@ class RunResult:
     #: Requests that came back as errors (retry budget exhausted or the
     #: root deadline blown); zero outside fault experiments.
     failed: int = 0
-    #: Fault-injection and resilience counters; None in fault-free runs
-    #: (keeps ``as_dict`` byte-identical to the pre-fault simulator).
-    fault_stats: Optional[dict] = None
-    #: Scheduling-policy counters (steals, bypasses, dispatch spills);
-    #: None under the default policies so default output stays
-    #: byte-identical to the pre-policy-layer simulator.
-    sched_stats: Optional[dict] = None
-    #: Datacenter-tier stats (LB routing, placement proxying, autoscale
-    #: events, per-server/pooled tails); None when ``dc`` is off so
-    #: non-dc output stays byte-identical to the pre-dc simulator.
-    dc_stats: Optional[dict] = None
-    #: Hybrid fast-path stats (commits/aborts/events elided, per-service
-    #: models); None when ``hybrid`` is off so non-hybrid output stays
-    #: byte-identical to the pre-hybrid simulator.
-    hybrid_stats: Optional[dict] = None
+    #: Counters of each opt-in layer that was on, keyed by subsystem
+    #: (``faults``, ``sched``, ``dc``, ``hybrid``); a layer that was off
+    #: has no key, so a run without it reports exactly as before it.
+    stats: Dict[str, dict] = field(default_factory=dict)
 
     @property
     def throughput_rps(self) -> float:
         return self.completed / (self.duration_s * self.n_servers)
+
+    #: Successful completions per server-second: ``completed`` already
+    #: excludes failed and rejected requests.
+    goodput_rps = throughput_rps
 
     @property
     def mean_ns(self) -> float:
@@ -93,12 +86,6 @@ class RunResult:
     @property
     def p99_ns(self) -> float:
         return self.summary.p99
-
-    @property
-    def goodput_rps(self) -> float:
-        """Successful completions per server-second (excludes failed and
-        rejected requests; equals ``throughput_rps`` in fault-free runs)."""
-        return self.completed / (self.duration_s * self.n_servers)
 
     @property
     def availability(self) -> float:
@@ -134,22 +121,30 @@ class RunResult:
             d["breakdown"] = bd
         if self.metrics is not None:
             d["metrics"] = self.metrics.as_dict()
-        if self.fault_stats is not None:
+        if "faults" in self.stats:
             d["failed"] = self.failed
             d["availability"] = self.availability
             d["goodput_rps"] = self.goodput_rps
-            d["faults"] = self.fault_stats
-        if self.sched_stats is not None:
-            d["sched"] = self.sched_stats
-        if self.dc_stats is not None:
-            d["dc"] = self.dc_stats
-        if self.hybrid_stats is not None:
-            d["hybrid"] = self.hybrid_stats
+        d.update(self.stats)
         return d
 
 
 class ClusterSimulation:
-    """Owns the engine, fabric, storage and servers for one run."""
+    """Owns the engine, fabric, storage and servers for one run.
+
+    Pass a :class:`repro.telemetry.Tracer` to capture spans and/or a
+    ``metrics_interval_ns`` to sample system-state gauges periodically;
+    both default to off (zero-overhead NullTracer path).  A non-empty
+    ``faults`` schedule installs the injector and (unless an explicit
+    ``resilience`` policy is given) arms default timeout/retry handling.
+    A :class:`repro.check.CheckContext` as ``check`` runs the run under
+    the invariant sanitizer (raising on violations when it is strict).
+    A :class:`repro.dc.DcConfig` as ``dc`` switches on the datacenter
+    tier — one shared arrival process routed through a front-end LB,
+    service placement/replication, and (optionally) autoscaling.
+    A :class:`repro.hybrid.HybridConfig` as ``hybrid`` arms the analytic
+    steady-state fast path (guard-and-abort; see :mod:`repro.hybrid`).
+    """
 
     def __init__(self, config: SystemConfig, app: AppSpec,
                  rps_per_server: float, n_servers: int = 4,
@@ -242,22 +237,9 @@ class ClusterSimulation:
         self.offered = 0
         self.rejected = 0
         self.failed = 0
-        # Fault injection + resilience.  An *empty* schedule is treated
-        # exactly like no schedule (falsy), so default runs never install
-        # an injector, arm a timeout, or take a new branch.
-        self.faults = faults if faults else None
-        if self.faults is not None and resilience is None:
-            from repro.faults.resilience import ResilienceConfig
-            resilience = ResilienceConfig()   # faults demand a response
-        self.resilience = resilience
+        self.resilience: Optional[ResilienceConfig] = None
         self.injector: Optional[FaultInjector] = None
-        if self.resilience is not None:
-            for server in self.servers:
-                server.resilience = self.resilience
-        if self.faults is not None:
-            from repro.faults.injector import FaultInjector
-            self.injector = FaultInjector(self.engine, self.servers,
-                                          self.faults)
+        self._arm_faults(faults, resilience)
         # Hybrid fast path (repro.hybrid): built last so its structural
         # guards can see the injector/autoscaler; installed in run().
         self.hybrid: Optional[HybridController] = None
@@ -276,6 +258,18 @@ class ClusterSimulation:
         schedule — must be called before :meth:`run`.  Raises
         ``ValueError``, changing nothing, when an event targets a
         component the cluster does not have.
+        """
+        self._arm_faults(faults, resilience)
+
+    def _arm_faults(self, faults: Optional[FaultSchedule],
+                    resilience: Optional[ResilienceConfig]) -> None:
+        """The one path that arms fault injection and resilience.
+
+        An *empty* schedule is treated exactly like no schedule, so a
+        run without faults never installs an injector, arms a timeout
+        or takes a new branch.  A schedule without a ``resilience``
+        policy (and none armed before) gets the default one: faults
+        demand a response.
         """
         faults = faults if faults else None
         injector = None
@@ -434,26 +428,30 @@ class ClusterSimulation:
                 self.check.raise_if_violations()
         warmup_ns = self.warmup_fraction * self.duration_s * 1e9
         summary = self.recorder.summary(after_ns=warmup_ns)
-        fault_stats = self._fault_stats() \
-            if (self.injector is not None or self.resilience is not None) \
-            else None
+        # One entry per opt-in layer that was on.  Default policies
+        # (Figure 3's legacy ``work_steal`` configs included) count as off.
+        stats = {}
+        if self.injector is not None or self.resilience is not None:
+            stats["faults"] = self._fault_stats()
+        cfg = self.config
+        if (cfg.core_bypass or cfg.rq_policy != "fcfs"
+                or cfg.dispatch not in ("rr", "random")
+                or (cfg.work_steal and cfg.steal_policy != "first")):
+            stats["sched"] = self._sched_stats()
+        if self.lb is not None:
+            stats["dc"] = self._dc_stats(warmup_ns)
+        if self.hybrid is not None:
+            stats["hybrid"] = self.hybrid.stats()
         return RunResult(
-            system=self.config.name, app=self.app.name,
+            system=cfg.name, app=self.app.name,
             rps_per_server=self.rps_per_server, n_servers=self.n_servers,
             duration_s=self.duration_s, summary=summary,
             completed=len(self.recorder), rejected=self.rejected,
             offered=self.offered, tracer=self.tracer, metrics=self.metrics,
-            warmup_ns=warmup_ns, failed=self.failed,
-            fault_stats=fault_stats, sched_stats=self._sched_stats(),
-            dc_stats=self._dc_stats(warmup_ns),
-            hybrid_stats=self.hybrid.stats()
-            if self.hybrid is not None else None)
+            warmup_ns=warmup_ns, failed=self.failed, stats=stats)
 
-    def _dc_stats(self, warmup_ns: float) -> Optional[dict]:
-        """Datacenter-tier counters; None when ``dc`` is off (keeps the
-        non-dc ``as_dict`` payload byte-identical to the pre-dc layer)."""
-        if self.lb is None:
-            return None
+    def _dc_stats(self, warmup_ns: float) -> dict:
+        """Datacenter-tier counters."""
         dc = self.dc
         stats = {
             "lb": dc.lb,
@@ -490,16 +488,9 @@ class ClusterSimulation:
                 for t, action, sid, util in self.autoscaler.events]
         return stats
 
-    def _sched_stats(self) -> Optional[dict]:
-        """Policy-layer counters; None for default-policy runs (keeps
-        their ``as_dict`` payload — including the legacy ``work_steal``
-        configs of Figure 3 — byte-identical to the pre-policy layer)."""
+    def _sched_stats(self) -> dict:
+        """Policy-layer counters (steals, bypasses, dispatch spills)."""
         cfg = self.config
-        if not (cfg.core_bypass
-                or cfg.rq_policy != "fcfs"
-                or cfg.dispatch not in ("rr", "random")
-                or (cfg.work_steal and cfg.steal_policy != "first")):
-            return None
         servers = self.servers
         stats = {
             "dispatch": cfg.dispatch,
@@ -540,37 +531,7 @@ class ClusterSimulation:
         return stats
 
 
-def simulate(config: SystemConfig, app: AppSpec, rps_per_server: float,
-             n_servers: int = 4, duration_s: float = 0.02, seed: int = 0,
-             warmup_fraction: float = 0.25,
-             fabric_config: Optional[FabricConfig] = None,
-             arrivals="poisson",
-             tracer: Optional[NullTracer] = None,
-             metrics_interval_ns: Optional[float] = None,
-             faults: Optional[FaultSchedule] = None,
-             resilience: Optional[ResilienceConfig] = None,
-             check: Optional[NullCheckContext] = None,
-             dc: Optional[DcConfig] = None,
-             hybrid: Optional[HybridConfig] = None) -> RunResult:
-    """One-call wrapper: build the cluster, run it, return the result.
-
-    Pass a :class:`repro.telemetry.Tracer` to capture spans and/or a
-    ``metrics_interval_ns`` to sample system-state gauges periodically;
-    both default to off (zero-overhead NullTracer path).  A non-empty
-    ``faults`` schedule installs the injector and (unless an explicit
-    ``resilience`` policy is given) arms default timeout/retry handling.
-    A :class:`repro.check.CheckContext` as ``check`` runs the run under
-    the invariant sanitizer (raising on violations when it is strict).
-    A :class:`repro.dc.DcConfig` as ``dc`` switches on the datacenter
-    tier — one shared arrival process routed through a front-end LB,
-    service placement/replication, and (optionally) autoscaling.
-    A :class:`repro.hybrid.HybridConfig` as ``hybrid`` arms the analytic
-    steady-state fast path (guard-and-abort; see :mod:`repro.hybrid`).
-    """
-    sim = ClusterSimulation(config, app, rps_per_server, n_servers,
-                            duration_s, seed, warmup_fraction, fabric_config,
-                            arrivals=arrivals, tracer=tracer,
-                            metrics_interval_ns=metrics_interval_ns,
-                            faults=faults, resilience=resilience,
-                            check=check, dc=dc, hybrid=hybrid)
-    return sim.run()
+def simulate(*args, **kwargs) -> RunResult:
+    """One-call wrapper: build a :class:`ClusterSimulation` from the same
+    arguments, run it, return the result."""
+    return ClusterSimulation(*args, **kwargs).run()

@@ -98,13 +98,13 @@ def test_every_scheduled_time_is_a_python_float(monkeypatch, run):
     result = sim.run()
     assert sim.engine.events_processed > 1000
     if run == "hybrid-metrics":
-        assert result.hybrid_stats["roots_elided"] > 0
+        assert result.stats["hybrid"]["roots_elided"] > 0
     if run == "scaleout-jitter":
         assert sum(v.scheduler.jitter_events for s in sim.servers
                    for v in s.villages) > 0
     if run == "dc-autoscale":
         assert sim.autoscaler.scale_ups + sim.autoscaler.scale_downs > 0
     if run == "faults-resilience":
-        assert result.fault_stats["rpc_timeouts"] > 0
+        assert result.stats["faults"]["rpc_timeouts"] > 0
     assert type(sim.engine.now) is float
     assert not bad, f"{len(bad)} non-float times, first: {bad[:3]}"

@@ -138,6 +138,12 @@ def test_placement_rejects_bad_assignments():
 
 # -------------------------------------------------------------- config
 
+def test_lb_names_match_the_registry():
+    from repro.dc.lb import LB_FACTORIES
+
+    assert LB_NAMES == tuple(sorted(LB_FACTORIES))
+
+
 def test_dc_config_validation():
     with pytest.raises(ValueError):
         DcConfig(lb="nope")
@@ -180,9 +186,9 @@ def test_key_sensitive_to_n_servers_and_every_dc_field():
 
 def test_cache_roundtrip_preserves_dc_stats():
     result = point(dc=DcConfig(lb="least"), n_servers=2).run()
-    assert result.dc_stats is not None
+    assert "dc" in result.stats
     rebuilt = result_from_dict(result_to_dict(result))
-    assert rebuilt.dc_stats == result.dc_stats
+    assert rebuilt.stats["dc"] == result.stats["dc"]
     assert rebuilt.as_dict() == result.as_dict()
 
 
@@ -204,7 +210,7 @@ def test_dc_rr_one_server_is_byte_identical_to_plain_path():
 
 def test_dc_off_leaves_result_payload_unchanged():
     assert "dc" not in run().as_dict()
-    assert run().dc_stats is None
+    assert "dc" not in run().stats
 
 
 # ------------------------------------------- end-to-end under checking
@@ -214,8 +220,8 @@ def test_replicated_placement_proxies_and_passes_checks():
     result = run(n_servers=2, dc=DcConfig(lb="least", replication=1),
                  check=check)
     assert check.ok and check.stats.checks > 0
-    assert result.dc_stats["replication"] == 1
-    assert result.dc_stats["proxied"] > 0
+    assert result.stats["dc"]["replication"] == 1
+    assert result.stats["dc"]["proxied"] > 0
 
 
 def test_autoscale_drain_conserves_requests():
@@ -224,7 +230,7 @@ def test_autoscale_drain_conserves_requests():
                   autoscale_interval_ns=100_000.0, scale_down_util=0.5)
     result = run(n_servers=3, dc=dc, rps=500.0, duration_s=0.004,
                  check=check)
-    stats = result.dc_stats
+    stats = result.stats["dc"]
     assert check.ok
     assert stats["scale_downs"] >= 1
     assert stats["active_at_end"] == [0]   # drained to the floor

@@ -160,9 +160,9 @@ def test_figS_runner_tiny():
     results = run(tiny, loads=(8000,))
     assert len(results) == len(COMBOS) * 2      # fault-free + faulted
     base = results[("rr+fcfs", False, 8000)]
-    assert base.completed > 0 and base.sched_stats is None
+    assert base.completed > 0 and "sched" not in base.stats
     steal = results[("rr+steal", False, 8000)]
-    assert steal.sched_stats["steal_policy"] == "maxload"
+    assert steal.stats["sched"]["steal_policy"] == "maxload"
     assert results[("affinity+fcfs", True, 8000)].availability <= 1.0
 
 
@@ -171,8 +171,8 @@ def test_figS_bypass_runner_tiny():
 
     tiny = Settings(n_servers=1, duration_s=0.004, seed=2)
     results = run_bypass(tiny, loads=(4000,))
-    assert results[(False, 4000)].sched_stats is None
-    assert results[(True, 4000)].sched_stats["bypasses"] > 0
+    assert "sched" not in results[(False, 4000)].stats
+    assert results[(True, 4000)].stats["sched"]["bypasses"] > 0
 
 
 def test_set_policy_overrides_folds_into_points():

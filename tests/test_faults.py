@@ -284,8 +284,28 @@ def test_bad_fault_targets_are_rejected_at_install(event, names):
     assert repr(event.target) in str(err.value)
     assert sim.engine.events_processed == 0
     assert sim.faults is None and sim.injector is None
+    assert sim.resilience is None
+    assert all(s.resilience is None for s in sim.servers)
     with pytest.raises(ValueError, match=names):
         _small_sim(faults=sched)
+
+
+def test_constructor_and_install_faults_arm_the_same_run(monkeypatch):
+    """Both entry points share one arming path: the same schedule and
+    policy give the same run.  The constructor does not go through the
+    public ``install_faults``, which callers may wrap or time on its own."""
+    sched = FaultSchedule().fail_village(0, 1, at_ns=1e6, recover_at_ns=2e6)
+    policy = ResilienceConfig(timeout_ns=500_000.0)
+    late = _small_sim()
+    late.install_faults(sched, policy)
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("constructor called install_faults")
+
+    monkeypatch.setattr(ClusterSimulation, "install_faults", not_called)
+    early = _small_sim(faults=sched, resilience=policy)
+    assert early.resilience is policy and early.injector is not None
+    assert early.run().as_dict() == late.run().as_dict()
 
 
 def test_village_failure_triggers_timeout_retry_and_health_marks():
@@ -295,7 +315,7 @@ def test_village_failure_triggers_timeout_retry_and_health_marks():
                      resilience=ResilienceConfig(timeout_ns=500_000.0,
                                                  max_retries=4))
     result = sim.run()
-    fs = result.fault_stats
+    fs = result.stats["faults"]
     assert fs["injected"]["injected"] == 2
     assert fs["rpc_timeouts"] > 0
     assert fs["rpc_retries"] > 0
@@ -310,7 +330,7 @@ def test_hedging_counts_and_wasted_responses():
         resilience=ResilienceConfig(timeout_ns=5e6, max_retries=1,
                                     hedge_delay_ns=200_000.0))
     result = sim.run()
-    fs = result.fault_stats
+    fs = result.stats["faults"]
     assert fs["rpc_hedges"] > 0
     # both attempts eventually answer; the loser is counted as wasted
     assert fs["wasted_responses"] > 0
@@ -353,7 +373,8 @@ def test_core_outage_idles_the_village_and_recovery_kicks_it(monkeypatch):
     result = sim.run()                     # strict: raises on violations
 
     assert sim.engine.peek_time() is None  # drained, so strict balanced it
-    assert result.fault_stats["injected"]["by_kind"] == {"core": 2 * n_cores}
+    injected = result.stats["faults"]["injected"]
+    assert injected["by_kind"] == {"core": 2 * n_cores}
     assert not any(failed for __, __, failed in starts)
     assert backlog == [2]                  # work waited out the outage
     # The first core back is kicked into the backlog at once, so the
@@ -390,4 +411,4 @@ def test_idle_resilience_wrapper_leaves_the_run_unchanged(config):
     assert guarded.summary.as_dict() == plain.summary.as_dict()
     assert (guarded.completed, guarded.rejected) == \
         (plain.completed, plain.rejected)
-    assert guarded.fault_stats["rpc_timeouts"] == 0
+    assert guarded.stats["faults"]["rpc_timeouts"] == 0

@@ -181,7 +181,7 @@ def test_commit_elides_roots_under_strict_sanitizer():
 
     check = CheckContext(strict=True)
     result = _sim(FAST, duration_s=0.004, check=check).run()
-    stats = result.hybrid_stats
+    stats = result.stats["hybrid"]
     assert stats["state"] == "committed"
     assert stats["commits"] >= 1 and stats["aborts"] == 0
     assert stats["roots_elided"] > 0

@@ -39,6 +39,7 @@ NOT_ON_IMPORT = (
     "repro.telemetry.metrics",
     "repro.telemetry.breakdown",
     "repro.telemetry.export",
+    "repro.dc.lb",
     "repro.dc.autoscale",
     "repro.dc.placement",
     "repro.faults.injector",
@@ -118,7 +119,7 @@ LAYERS = {
                                 autoscale=True))
         assert sim.autoscaler is not None and sim.placement is not None
         assert "spills" in sim.run().as_dict()["dc"]
-     """, ("repro.dc.autoscale", "repro.dc.placement")),
+     """, ("repro.dc.lb", "repro.dc.autoscale", "repro.dc.placement")),
     "metrics": ("""
         before = loaded(MODULES)
         sim = build(metrics_interval_ns=100_000.0)
@@ -131,7 +132,7 @@ LAYERS = {
         before = loaded(MODULES)
         sim.install_faults(FaultSchedule().fail_village(0, 1, 500_000.0))
         assert type(sim.injector).__name__ == "FaultInjector"
-        assert sim.run().fault_stats["injected"]["injected"] == 1
+        assert sim.run().stats["faults"]["injected"]["injected"] == 1
      """, ("repro.faults.injector",)),
     "tracer": ("""
         from repro.telemetry import Tracer

@@ -68,7 +68,7 @@ def test_result_does_not_keep_the_simulator_alive(layer):
     sim = _sim(**LAYERS[layer]())
     result = sim.run()
     if layer == "metrics+hybrid":
-        assert result.hybrid_stats["roots_elided"] > 0
+        assert result.stats["hybrid"]["roots_elided"] > 0
     if layer.startswith("metrics"):
         assert result.metrics.samples_taken > 0
     before = result.as_dict()

@@ -67,10 +67,10 @@ def test_cache_roundtrip_preserves_sched_stats(tmp_path):
 
     p = point(config=replace(UMANYCORE, core_bypass=True))
     result = p.run()
-    assert result.sched_stats is not None
-    assert result.sched_stats["bypasses"] > 0
+    assert "sched" in result.stats
+    assert result.stats["sched"]["bypasses"] > 0
     restored = result_from_dict(result_to_dict(result))
-    assert restored.sched_stats == result.sched_stats
+    assert restored.stats["sched"] == result.stats["sched"]
     cache = ResultCache(tmp_path)
     cache.put(p.key(), result)
     assert cache.get(p.key()).as_dict() == result.as_dict()
@@ -146,6 +146,45 @@ def test_incompatible_schema_is_evicted(tmp_path):
     entry.write_text(json.dumps(doc))
     assert cache.get(p.key()) is None
     assert cache.evicted == 1
+
+
+def test_schema4_entry_is_evicted(tmp_path):
+    """An entry in the layout before the per-layer counters were folded
+    into one ``stats`` mapping is evicted, not misread."""
+    cache = ResultCache(tmp_path)
+    p = point()
+    cache.put(p.key(), p.run())
+    entry = cache._path(p.key())
+    doc = json.loads(entry.read_text())
+    del doc["stats"]
+    doc.update(schema=4, fault_stats=None, sched_stats=None, dc_stats=None,
+               hybrid_stats=None)
+    entry.write_text(json.dumps(doc))
+    assert cache.get(p.key()) is None
+    assert cache.evicted == 1
+    assert not entry.exists()
+
+
+def test_cache_roundtrip_with_every_layer_on(tmp_path):
+    from dataclasses import replace
+
+    from repro.dc import DcConfig
+    from repro.faults import FaultSchedule, ResilienceConfig
+    from repro.hybrid import HybridConfig
+
+    p = point(config=replace(UMANYCORE, rq_policy="srpt"), n_servers=2,
+              duration_s=0.01,
+              faults=FaultSchedule().fail_village(0, 1, 2_000_000.0),
+              resilience=ResilienceConfig(hedge_delay_ns=300_000.0),
+              dc=DcConfig(lb="p2c"), hybrid=HybridConfig())
+    result = p.run()
+    assert set(result.stats) == {"faults", "sched", "dc", "hybrid"}
+    assert result.stats["faults"]["injected"]["injected"] == 1
+    restored = result_from_dict(result_to_dict(result))
+    assert restored.as_dict() == result.as_dict()
+    cache = ResultCache(tmp_path)
+    assert cache.put(p.key(), result)
+    assert cache.get(p.key()).as_dict() == result.as_dict()
 
 
 # ------------------------------------------------- execution equivalence

@@ -286,7 +286,7 @@ def test_hybrid_no_spurious_abort_on_bursty():
     """Stationary burstiness widens the guard band: the fast path must
     commit on a bursty run (default tol) and never strike out."""
     for seed in (1, 3, 7):
-        stats = _bursty_hybrid_sim(seed).run().hybrid_stats
+        stats = _bursty_hybrid_sim(seed).run().stats["hybrid"]
         assert stats["state"] == "committed", seed
         assert stats["aborts"] == 0, seed
         assert stats["roots_elided"] > 0, seed
@@ -298,7 +298,7 @@ def test_hybrid_guard_widening_is_load_bearing():
     guard strikes spuriously."""
     sim = _bursty_hybrid_sim(3)
     sim.rate_profile = ConstantProfile()    # narrow band, bursty load
-    stats = sim.run().hybrid_stats
+    stats = sim.run().stats["hybrid"]
     assert stats["aborts"] >= 1
 
 
