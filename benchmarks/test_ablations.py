@@ -101,12 +101,12 @@ def test_ablation_work_stealing(benchmark):
     def run():
         return {
             steal: simulate(dataclasses.replace(
-                base, name=f"uM-steal{steal}", work_steal=steal), app,
+                base, name=f"uM-steal-{steal}", steal=steal), app,
                 rps_per_server=30_000, n_servers=1, duration_s=0.01,
                 seed=8)
-            for steal in (False, True)
+            for steal in ("off", "first")
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     # Stealing should not hurt badly under imbalance-prone dispatch.
-    assert results[True].p99_ns < 2.0 * results[False].p99_ns
+    assert results["first"].p99_ns < 2.0 * results["off"].p99_ns

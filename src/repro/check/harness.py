@@ -124,9 +124,8 @@ def _trial_config(trial: Trial):
         overrides["dispatch"] = trial.dispatch
     if trial.rq_policy != cfg.rq_policy:
         overrides["rq_policy"] = trial.rq_policy
-    if trial.steal != "off":
-        overrides["work_steal"] = True
-        overrides["steal_policy"] = trial.steal
+    if trial.steal != cfg.steal:
+        overrides["steal"] = trial.steal
     if trial.core_bypass:
         overrides["core_bypass"] = True
     return replace(cfg, **overrides) if overrides else cfg

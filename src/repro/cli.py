@@ -179,27 +179,33 @@ def _policy_overrides(args) -> dict:
         kw["dispatch"] = args.dispatch
     if getattr(args, "rq_policy", None) is not None:
         kw["rq_policy"] = args.rq_policy
-    steal = getattr(args, "steal", None)
-    if steal is not None:
-        kw["work_steal"] = steal != "off"
-        if steal != "off":
-            kw["steal_policy"] = steal
+    if getattr(args, "steal", None) is not None:
+        kw["steal"] = args.steal
     if getattr(args, "core_bypass", False):
         kw["core_bypass"] = True
     return kw
 
 
-def _apply_policy_overrides(config, args):
-    from dataclasses import replace
+def _executing(args):
+    """The one :func:`repro.runner.executing` scope of ``sweep`` and
+    ``experiment``: jobs, cache (off with ``--no-cache`` or
+    ``--check``), check, policy overrides and hybrid config."""
+    from repro.runner import ResultCache, executing
 
-    kw = _policy_overrides(args)
-    return replace(config, **kw) if kw else config
+    cache = None if args.no_cache or args.check else ResultCache()
+    return executing(jobs=args.jobs, cache=cache, check=args.check,
+                     config=_policy_overrides(args),
+                     hybrid=_hybrid_setup(args))
 
 
 def _run_simulation(args, tracer=None, metrics_interval_ns=None):
+    from dataclasses import replace
+
     from repro.systems.cluster import ClusterSimulation
 
-    config = _apply_policy_overrides(SYSTEMS[args.system], args)
+    config, overrides = SYSTEMS[args.system], _policy_overrides(args)
+    if overrides:
+        config = replace(config, **overrides)
     app = _resolve_app(args.app)
     check = None
     if getattr(args, "check", False):
@@ -409,19 +415,16 @@ def cmd_sweep(args) -> None:
     stdout stays a clean table (or JSON with ``--json``).
     """
     from repro.experiments.common import format_table
-    from repro.runner import ResultCache, SweepSpec, run_points
+    from repro.runner import SweepSpec, run_points
 
     spec = SweepSpec(
-        configs=tuple(_apply_policy_overrides(SYSTEMS[s.strip()], args)
-                      for s in args.systems.split(",")),
+        configs=tuple(SYSTEMS[s.strip()] for s in args.systems.split(",")),
         apps=tuple(_resolve_app(a.strip()) for a in args.apps.split(",")),
         loads=tuple(float(x) for x in args.loads.split(",")),
         seeds=tuple(int(x) for x in args.seeds.split(",")),
         n_servers=args.servers, duration_s=args.duration,
-        arrivals=_resolve_arrivals(args), dc=_dc_setup(args),
-        hybrid=_hybrid_setup(args))
+        arrivals=_resolve_arrivals(args), dc=_dc_setup(args))
     points = spec.points()
-    cache = None if args.no_cache or args.check else ResultCache()
     width = len(str(len(points)))
 
     def progress(event: dict) -> None:
@@ -431,8 +434,8 @@ def cmd_sweep(args) -> None:
               f"{event['label']:36s} ({source})",
               file=sys.stderr, flush=True)
 
-    results = run_points(points, jobs=args.jobs, cache=cache,
-                         progress=progress, memo=False, check=args.check)
+    with _executing(args) as ctx:
+        results = run_points(points, progress=progress, memo=False)
     if args.json:
         print(json.dumps([r.as_dict() for r in results], indent=2,
                          sort_keys=True))
@@ -446,45 +449,40 @@ def cmd_sweep(args) -> None:
         print(format_table(
             ["system", "app", "rps", "seed", "mean us", "p99 us",
              "p999 us", "tail/avg", "completed", "rejected"], rows))
-    if cache is not None:
-        s = cache.stats()
+    if ctx.cache is not None:
+        s = ctx.cache.stats()
         print(f"cache: {s['hits']} hits, {s['misses']} misses "
               f"({s['dir']})", file=sys.stderr)
 
 
 def cmd_experiment(args) -> None:
-    """Regenerate one paper figure (or, with ``all``, every table)."""
+    """Regenerate one paper figure (or, with ``all``, every table).
+
+    Every id runs inside one :func:`_executing` scope, which carries
+    the jobs, cache, check, policy and hybrid flags to every sweep
+    point the figure builds.
+    """
     import importlib
 
-    overrides = _policy_overrides(args)
-    if overrides:
-        from repro.experiments.common import set_policy_overrides
+    from repro.experiments.common import QUICK
 
-        set_policy_overrides(**overrides)
-    hybrid = _hybrid_setup(args)
-    if hybrid is not None:
-        from repro.experiments.common import set_hybrid_override
-
-        set_hybrid_override(hybrid)
     module = importlib.import_module(
         f"repro.experiments.{EXPERIMENT_MODULES[args.id]}")
     if args.id == "all":
-        module.main(jobs=args.jobs, use_cache=not args.no_cache,
-                    check=args.check, quick=args.quick)
-        return
-    kwargs = {}
-    if args.quick:
+        kwargs = {"quick": args.quick,
+                  "resume": args.resume and not args.check}
+    elif args.resume:
+        raise SystemExit(f"--resume is only supported by all, "
+                         f"not {args.id}")
+    elif args.quick:
         import inspect
 
         if "settings" not in inspect.signature(module.main).parameters:
             raise SystemExit(f"--quick is not supported by {args.id}")
-        from repro.experiments.common import Settings
-
-        kwargs["settings"] = Settings(n_servers=1, duration_s=0.02)
-    from repro.runner import ResultCache, executing
-
-    cache = None if args.no_cache or args.check else ResultCache()
-    with executing(jobs=args.jobs, cache=cache, check=args.check):
+        kwargs = {"settings": QUICK}
+    else:
+        kwargs = {}
+    with _executing(args):
         module.main(**kwargs)
 
 
@@ -809,6 +807,10 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--quick", action="store_true",
                      help="reduced scales — smoke-test the figure "
                           "('all' and the settings-aware figures)")
+    exp.add_argument("--resume", action="store_true",
+                     help="'all' only: skip sections a previous run with "
+                          "the same settings and code completed (needs "
+                          "the cache; ignored with --check)")
     add_policy_args(exp)
     add_hybrid_args(exp)
     exp.set_defaults(func=cmd_experiment)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -19,32 +19,6 @@ APP_ORDER = ["Text", "SGraph", "User", "PstStr", "UsrMnt", "HomeT",
 #: The three load levels of Section 5 (RPS per server).
 PAPER_LOADS = (5000, 10000, 15000)
 
-#: Scheduling-policy config overrides folded into every point built by
-#: :func:`point_for` (the ``repro experiment --dispatch/...`` flags).
-#: Empty by default, so figure tables stay byte-identical.
-_POLICY_OVERRIDES: Dict[str, object] = {}
-
-
-def set_policy_overrides(**overrides) -> None:
-    """Install :class:`SystemConfig` field overrides (``dispatch``,
-    ``rq_policy``, ``work_steal``, ``steal_policy``, ``core_bypass``)
-    applied to every subsequently built point; call with no arguments
-    to clear them."""
-    _POLICY_OVERRIDES.clear()
-    _POLICY_OVERRIDES.update(overrides)
-
-
-#: Hybrid fast-path config folded into every point built by
-#: :func:`point_for` (the ``repro experiment --hybrid`` flag); None by
-#: default so figure tables stay byte-identical.
-_HYBRID_OVERRIDE: List[object] = [None]
-
-
-def set_hybrid_override(hybrid) -> None:
-    """Install a :class:`repro.hybrid.HybridConfig` applied to every
-    subsequently built point; pass None to clear it."""
-    _HYBRID_OVERRIDE[0] = hybrid
-
 
 @dataclass(frozen=True)
 class Settings:
@@ -59,6 +33,10 @@ class Settings:
     duration_s: float = 0.03
     seed: int = 1
     warmup_fraction: float = 0.25
+
+
+#: The reduced scale of ``repro experiment --quick`` (smoke tests).
+QUICK = Settings(n_servers=1, duration_s=0.02)
 
 
 def point_for(config: SystemConfig, app: AppSpec, rps: float,
@@ -77,10 +55,6 @@ def point_for(config: SystemConfig, app: AppSpec, rps: float,
         A :class:`~repro.runner.point.SweepPoint` ready for
         :func:`~repro.runner.run_points`.
     """
-    if _POLICY_OVERRIDES:
-        config = replace(config, **_POLICY_OVERRIDES)
-    if _HYBRID_OVERRIDE[0] is not None and "hybrid" not in overrides:
-        overrides["hybrid"] = _HYBRID_OVERRIDE[0]
     return SweepPoint(config=config, app=app, rps=float(rps),
                       n_servers=settings.n_servers,
                       duration_s=settings.duration_s, seed=settings.seed,
@@ -94,7 +68,7 @@ def run_matrix(configs: Sequence[SystemConfig], apps: Sequence[AppSpec],
     """Cross product of systems x apps x loads.
 
     The whole grid is submitted to :func:`~repro.runner.run_points` as
-    one batch, so ``run_all --jobs N`` parallelises it transparently;
+    one batch, so ``--jobs N`` parallelises it transparently;
     the returned table is identical for any jobs count or cache state.
     """
     cells = [(config, app, rps)

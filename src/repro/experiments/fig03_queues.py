@@ -48,7 +48,7 @@ def _config(n_queues: int, work_steal: bool):
         sw_rpc_core_ns=0.0, preempt_quantum_ns=0.0, preempt_op_cycles=0.0,
         dispatch="random",              # requests assigned to queues randomly
         state_bytes_per_invocation=64 * 1024,   # isolate queueing from ICN
-        work_steal=work_steal)
+        steal="first" if work_steal else "off")
 
 
 def run(rps: float = 50_000, compute_scale: float = 15.0,

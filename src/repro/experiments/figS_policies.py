@@ -40,7 +40,7 @@ COMBOS: Tuple[Tuple[str, dict], ...] = (
     ("affinity+fcfs", {"dispatch": "affinity"}),
     ("rr+srpt", {"rq_policy": "srpt"}),
     ("rr+sjf", {"rq_policy": "sjf"}),
-    ("rr+steal", {"work_steal": True, "steal_policy": "maxload"}),
+    ("rr+steal", {"steal": "maxload"}),
 )
 
 #: The reduced 128-core build saturates near ~90K RPS/server; the grid

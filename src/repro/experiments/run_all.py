@@ -1,23 +1,21 @@
 """Run every experiment and print all paper-figure tables.
 
-``python -m repro.experiments.run_all [--quick] [--jobs N] [--no-cache]
-[--resume] [--check]``
-
-``--quick`` uses reduced scales (useful for smoke-testing the harness);
-the default takes tens of minutes and produces the numbers recorded in
-EXPERIMENTS.md.  ``--jobs N`` fans the independent simulation points of
-each figure over N worker processes; the printed tables are identical
-for any jobs count.  Results are cached on disk (see
-:mod:`repro.runner`) keyed by configuration *and* code version, so a
-re-run after an interrupt — or a second full run — only simulates what
-changed; ``--no-cache`` forces everything to recompute and ``--resume``
-additionally skips whole sections that a previous run with the same
-settings already printed.
+``python -m repro.experiments.run_all [flags]`` is an alias of
+``python -m repro experiment all [flags]`` and takes the same flags
+(docs/CLI.md): ``--quick`` uses reduced scales (useful for
+smoke-testing the harness); the default takes tens of minutes and
+produces the numbers recorded in EXPERIMENTS.md.  ``--jobs N`` fans the
+independent simulation points of each figure over N worker processes;
+the printed tables are identical for any jobs count.  Results are
+cached on disk (see :mod:`repro.runner`) keyed by configuration *and*
+code version, so a re-run after an interrupt — or a second full run —
+only simulates what changed; ``--no-cache`` forces everything to
+recompute and ``--resume`` additionally skips whole sections that a
+previous run with the same settings already printed.
 """
 
 from __future__ import annotations
 
-import argparse
 import inspect
 import time
 
@@ -45,8 +43,8 @@ from repro.experiments import (
     power_area,
     sec68_iso_area,
 )
-from repro.experiments.common import Settings, set_hybrid_override
-from repro.runner import ResultCache, code_version, digest, executing, \
+from repro.experiments.common import QUICK, Settings
+from repro.runner import ResultCache, code_version, digest, execution, \
     fingerprint
 
 SECTIONS = [
@@ -93,43 +91,37 @@ def _run_section(title, runner, settings) -> None:
         runner()
 
 
-def main(quick: bool = False, jobs: int = 1, use_cache: bool = True,
-         resume: bool = False, check: bool = False) -> None:
-    """Print every figure table.
+def main(quick: bool = False, resume: bool = False) -> None:
+    """Print every figure table under the active execution context.
+
+    Jobs, cache, check and the policy/hybrid overrides come from
+    :func:`repro.runner.execution` (``repro experiment all`` sets them).
 
     Args:
         quick: Use reduced scales (the ``--quick`` smoke configuration).
-        jobs: Worker processes for the simulation sweeps (1 = serial).
-        use_cache: Consult/populate the on-disk result cache.
         resume: Skip sections a previous same-settings run completed
             (their tables are *not* reprinted); requires the cache.
-        check: Run every simulation point under the strict invariant
-            sanitizer (:mod:`repro.check`); forces the cache off so
-            every point actually executes and is verified.
     """
-    if check:
-        use_cache = False
-        resume = False
-    if resume and not use_cache:
+    cache = execution().cache
+    if resume and cache is None:
         raise SystemExit("--resume requires the result cache "
                          "(drop --no-cache)")
-    settings = Settings(n_servers=1, duration_s=0.02) if quick else Settings()
-    cache = ResultCache() if use_cache else None
+    settings = QUICK if quick else Settings()
     start = time.time()
-    with executing(jobs=jobs, cache=cache, check=check):
-        for title, runner in SECTIONS:
-            marker = _section_marker(cache, title, settings) if cache else None
-            if resume and marker is not None and marker.exists():
-                print(f"\n[{title} skipped: done in a previous run "
-                      f"(--resume)]", flush=True)
-                continue
-            print(f"\n{'=' * 72}\n{title}\n{'=' * 72}", flush=True)
-            t0 = time.time()
-            _run_section(title, runner, settings)
-            print(f"[{title} done in {time.time() - t0:.0f}s]", flush=True)
-            if marker is not None:
-                marker.parent.mkdir(parents=True, exist_ok=True)
-                marker.touch()
+    for title, runner in SECTIONS:
+        marker = (_section_marker(cache, title, settings)
+                  if cache is not None else None)
+        if resume and marker is not None and marker.exists():
+            print(f"\n[{title} skipped: done in a previous run "
+                  f"(--resume)]", flush=True)
+            continue
+        print(f"\n{'=' * 72}\n{title}\n{'=' * 72}", flush=True)
+        t0 = time.time()
+        _run_section(title, runner, settings)
+        print(f"[{title} done in {time.time() - t0:.0f}s]", flush=True)
+        if marker is not None:
+            marker.parent.mkdir(parents=True, exist_ok=True)
+            marker.touch()
     print(f"\ntotal: {time.time() - start:.0f}s")
     if cache is not None:
         s = cache.stats()
@@ -137,42 +129,9 @@ def main(quick: bool = False, jobs: int = 1, use_cache: bool = True,
               f"({s['dir']})")
 
 
-def parse_args(argv=None) -> argparse.Namespace:
-    """Build and run the ``run_all`` argument parser."""
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.experiments.run_all",
-        description="regenerate every paper-figure table")
-    ap.add_argument("--quick", action="store_true",
-                    help="reduced scales (smoke-test the harness)")
-    ap.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="simulation worker processes (default 1)")
-    ap.add_argument("--no-cache", action="store_true",
-                    help="recompute everything; skip the on-disk "
-                         "result cache")
-    ap.add_argument("--resume", action="store_true",
-                    help="skip sections completed by a previous run "
-                         "with the same settings and code")
-    ap.add_argument("--check", action="store_true",
-                    help="run every simulation point under the "
-                         "invariant sanitizer (implies --no-cache; "
-                         "any violation aborts)")
-    ap.add_argument("--hybrid", action="store_true",
-                    help="arm the repro.hybrid fast path on every "
-                         "sweep point (results are approximate; "
-                         "Figure H quantifies the error)")
-    ap.add_argument("--hybrid-tol", dest="hybrid_tol", type=float,
-                    default=0.2, metavar="T",
-                    help="steady-state tolerance for --hybrid "
-                         "(default 0.2)")
-    return ap.parse_args(argv)
-
-
 if __name__ == "__main__":
-    _args = parse_args()
-    if _args.hybrid:
-        from repro.hybrid import HybridConfig
+    import sys
 
-        set_hybrid_override(HybridConfig(tol=_args.hybrid_tol))
-    main(quick=_args.quick, jobs=_args.jobs,
-         use_cache=not _args.no_cache, resume=_args.resume,
-         check=_args.check)
+    from repro.cli import main as cli_main
+
+    cli_main(["experiment", "all", *sys.argv[1:]])

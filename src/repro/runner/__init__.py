@@ -5,14 +5,15 @@ Every paper figure is a grid of *independent* cluster simulations —
 This package is the execution layer for those grids:
 
 * :class:`SweepPoint` / :class:`SweepSpec` describe the work by value;
-* :class:`ParallelRunner` fans points out over spawn-safe
-  ``multiprocessing`` workers with deterministic result ordering;
 * :class:`ResultCache` content-addresses results on disk (config +
   workload + fault schedule + seed + code version), making re-runs and
   resumed sweeps near-instant;
-* :func:`run_points` + :func:`configure` let entry points switch the
-  whole experiment stack to parallel/cached execution without touching
-  figure code.
+* :func:`run_points` is the one executor: it serves points from the
+  memo and the cache and fans the rest over spawn-safe
+  ``multiprocessing`` workers with deterministic result ordering;
+* :func:`executing` sets the process-wide :class:`ExecutionContext`
+  (jobs, cache, check, config overrides, hybrid) that every
+  :func:`run_points` call inherits, without touching figure code.
 
 The determinism contract: for a fixed point list, the returned results
 — and therefore every table formatted from them — are identical for
@@ -29,25 +30,21 @@ from repro.runner.cache import (
 from repro.runner.context import (
     ExecutionContext,
     clear_memo,
-    configure,
     executing,
     execution,
     run_points,
 )
 from repro.runner.fingerprint import code_version, digest, fingerprint
-from repro.runner.parallel import ParallelRunner
 from repro.runner.point import SweepPoint, SweepSpec
 
 __all__ = [
     "CACHE_DIR_ENV",
     "ExecutionContext",
-    "ParallelRunner",
     "ResultCache",
     "SweepPoint",
     "SweepSpec",
     "clear_memo",
     "code_version",
-    "configure",
     "default_cache_dir",
     "digest",
     "executing",

@@ -83,7 +83,7 @@ MAXLOAD_STEAL = MaxLoadSteal()
 STEAL_POLICIES = {"first": FIRST_STEAL, "maxload": MAXLOAD_STEAL}
 
 #: The registered policy names (the CLI's ``--steal`` choices, plus
-#: ``off`` which maps to ``work_steal=False``).
+#: ``off``, the default of ``SystemConfig.steal``).
 STEAL_NAMES = tuple(sorted(STEAL_POLICIES))
 
 

@@ -267,9 +267,10 @@ class ClusterSimulation:
 
         An *empty* schedule is treated exactly like no schedule, so a
         run without faults never installs an injector, arms a timeout
-        or takes a new branch.  A schedule without a ``resilience``
-        policy (and none armed before) gets the default one: faults
-        demand a response.
+        or takes a new branch.  A new schedule (or None) replaces any
+        earlier one; a resilience policy armed by an earlier call stays
+        armed.  A schedule without a ``resilience`` policy (and none
+        armed before) gets the default one: faults demand a response.
         """
         faults = faults if faults else None
         injector = None
@@ -278,6 +279,7 @@ class ClusterSimulation:
             from repro.faults.injector import FaultInjector
             injector = FaultInjector(self.engine, self.servers, faults)
         self.faults = faults
+        self.injector = injector
         if faults is None and resilience is None:
             return
         if resilience is None and self.resilience is None:
@@ -287,8 +289,6 @@ class ClusterSimulation:
             self.resilience = resilience
             for server in self.servers:
                 server.resilience = resilience
-        if injector is not None:
-            self.injector = injector
 
     def _register_gauges(self) -> None:
         """Periodic time series of the paper's congestion indicators:
@@ -429,14 +429,14 @@ class ClusterSimulation:
         warmup_ns = self.warmup_fraction * self.duration_s * 1e9
         summary = self.recorder.summary(after_ns=warmup_ns)
         # One entry per opt-in layer that was on.  Default policies
-        # (Figure 3's legacy ``work_steal`` configs included) count as off.
+        # (Figure 3's ``steal="first"`` configs included) count as off.
         stats = {}
         if self.injector is not None or self.resilience is not None:
             stats["faults"] = self._fault_stats()
         cfg = self.config
         if (cfg.core_bypass or cfg.rq_policy != "fcfs"
                 or cfg.dispatch not in ("rr", "random")
-                or (cfg.work_steal and cfg.steal_policy != "first")):
+                or cfg.steal not in ("off", "first")):
             stats["sched"] = self._sched_stats()
         if self.lb is not None:
             stats["dc"] = self._dc_stats(warmup_ns)
@@ -495,7 +495,7 @@ class ClusterSimulation:
         stats = {
             "dispatch": cfg.dispatch,
             "rq_policy": cfg.rq_policy,
-            "steal_policy": cfg.steal_policy if cfg.work_steal else "off",
+            "steal_policy": cfg.steal,
             "core_bypass": cfg.core_bypass,
             "steals": sum(v.steals for s in servers for v in s.villages),
             "bypasses": sum(v.bypasses for s in servers for v in s.villages),

@@ -43,7 +43,6 @@ class SystemConfig:
     l2_latency_cycles: float = 24.0
     memory_latency_cycles: float = 200.0
     rq_capacity: int = 64
-    work_steal: bool = False
     icn_contention: bool = True
     resume_reload_lines: int = 512
     locality: float = 0.7          # child calls staying on this server
@@ -64,7 +63,7 @@ class SystemConfig:
     # Pluggable scheduling (repro.sched): the three decision points.
     dispatch: str = "rr"           # NIC->village: rr/random/least/affinity
     rq_policy: str = "fcfs"        # intra-village: fcfs/srpt/sjf/edf
-    steal_policy: str = "first"    # victim choice when work_steal is on
+    steal: str = "off"             # work stealing: off/first/maxload
     core_bypass: bool = False      # nanoPU-style idle-core fast path
     # Section 8 / 4.1 extensions:
     big_core: object = None        # CoreConfig for "big" villages, or None
@@ -98,9 +97,9 @@ class SystemConfig:
         if self.rq_policy not in POLICY_FACTORIES:
             raise ValueError(f"{self.name}: unknown RQ policy "
                              f"{self.rq_policy!r}")
-        if self.steal_policy not in STEAL_POLICIES:
+        if self.steal != "off" and self.steal not in STEAL_POLICIES:
             raise ValueError(f"{self.name}: unknown steal policy "
-                             f"{self.steal_policy!r}")
+                             f"{self.steal!r}")
 
     @property
     def n_queues(self) -> int:

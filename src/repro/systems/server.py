@@ -182,7 +182,8 @@ class Server:
         from repro.sched.stealing import get_steal_policy
 
         rq_policy = get_policy(cfg.rq_policy)
-        steal_policy = get_steal_policy(cfg.steal_policy)
+        steal_policy = (get_steal_policy(cfg.steal)
+                        if cfg.steal != "off" else None)
         for v in range(cfg.n_queues):
             dom = shared_dom or SchedulerDomain(
                 self.engine, cfg.cs, cfg.core.freq_ghz,
@@ -207,7 +208,7 @@ class Server:
         #: Every core, village by village: :meth:`busy_ns` sums them in
         #: this order.
         self._cores = [c for v in self.villages for c in v.cores]
-        if cfg.work_steal:
+        if cfg.steal != "off":
             peers_of = self.rng.permutation(cfg.n_queues)
             for v, village in enumerate(self.villages):
                 others = [self.villages[int(p)] for p in peers_of

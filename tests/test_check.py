@@ -334,7 +334,7 @@ def test_finalize_is_idempotent():
 #: so stealing happens at a light load.
 ONE_CORE_VILLAGES = replace(UMANYCORE, n_cores=16, cores_per_village=1,
                             cores_per_queue=1, n_clusters=4,
-                            work_steal=True)
+                            steal="first")
 
 
 def _steal_run(check):

@@ -79,6 +79,28 @@ def test_experiment_command_power(capsys):
     assert "iso-power ServerClass cores: 40" in out
 
 
+def test_experiment_resume_is_only_for_all():
+    with pytest.raises(SystemExit, match="only supported by all"):
+        main(["experiment", "fig14", "--resume"])
+    with pytest.raises(SystemExit, match="requires the result cache"):
+        main(["experiment", "all", "--resume", "--no-cache"])
+
+
+def test_run_all_module_is_an_alias_of_experiment_all():
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in sys.path if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.experiments.run_all", "--resume",
+         "--no-cache", "--dispatch", "least"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode != 0
+    assert "requires the result cache" in proc.stderr
+
+
 def test_systems_table_complete():
     assert set(SYSTEMS) == {"umanycore", "scaleout", "serverclass",
                             "serverclass128"}
@@ -182,9 +204,9 @@ def test_policy_overrides_mapping():
     parse = build_parser().parse_args
     assert _policy_overrides(parse(["sweep"])) == {}
     assert _policy_overrides(parse(["sweep", "--steal", "off"])) == \
-        {"work_steal": False}
+        {"steal": "off"}
     assert _policy_overrides(parse(["sweep", "--steal", "maxload"])) == \
-        {"work_steal": True, "steal_policy": "maxload"}
+        {"steal": "maxload"}
     assert _policy_overrides(parse(
         ["sweep", "--dispatch", "affinity", "--rq-policy", "edf",
          "--core-bypass"])) == \

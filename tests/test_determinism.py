@@ -110,8 +110,7 @@ class TestSchedulingPolicies:
         path too: occupancy dispatch, SJF ordering, maxload stealing and
         core bypass all enabled at once."""
         cfg = replace(UMANYCORE, dispatch="least", rq_policy="sjf",
-                      work_steal=True, steal_policy="maxload",
-                      core_bypass=True)
+                      steal="maxload", core_bypass=True)
         a, ta = _traced_run(cfg)
         b, tb = _traced_run(cfg)
         assert json.dumps(a.as_dict(), sort_keys=True) == \
@@ -136,7 +135,7 @@ class TestSchedulingPolicies:
         RNG draws, same spans, same summary (the refactor's
         zero-behaviour-change contract)."""
         explicit = replace(UMANYCORE, dispatch="rr", rq_policy="fcfs",
-                           steal_policy="first", core_bypass=False)
+                           steal="off", core_bypass=False)
         a, ta = _traced_run(UMANYCORE)
         b, tb = _traced_run(explicit)
         assert json.dumps(a.as_dict(), sort_keys=True) == \

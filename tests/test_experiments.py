@@ -175,17 +175,35 @@ def test_figS_bypass_runner_tiny():
     assert results[(True, 4000)].stats["sched"]["bypasses"] > 0
 
 
-def test_set_policy_overrides_folds_into_points():
-    from repro.experiments.common import point_for, set_policy_overrides
+def test_executing_config_folds_into_points():
+    from repro.experiments.common import point_for
+    from repro.runner import executing, run_points
     from repro.systems.configs import UMANYCORE
     from repro.workloads.deathstar import social_network_app
 
     app = social_network_app("Text")
-    try:
-        set_policy_overrides(dispatch="least", core_bypass=True)
-        p = point_for(UMANYCORE, app, 1000, QUICK)
-        assert p.config.dispatch == "least" and p.config.core_bypass
-    finally:
-        set_policy_overrides()
-    clean = point_for(UMANYCORE, app, 1000, QUICK)
-    assert clean.config is UMANYCORE    # no overrides -> untouched config
+    p = point_for(UMANYCORE, app, 1000, QUICK)
+    assert p.config is UMANYCORE        # points carry the config untouched
+    with executing(config={"dispatch": "least", "core_bypass": True}):
+        (r,) = run_points([p], memo=False)
+    assert r.stats["sched"]["dispatch"] == "least"
+    assert r.stats["sched"]["core_bypass"]
+    (clean,) = run_points([p], memo=False)
+    assert "sched" not in clean.stats   # scope left -> no overrides
+
+
+def test_run_all_resume_skips_sections_done_with_an_empty_cache(
+        tmp_path, monkeypatch, capsys):
+    """A section that stores no result still leaves its done-marker, so
+    ``--resume`` skips it (an empty cache must not read as no cache)."""
+    from repro.experiments import run_all
+    from repro.runner import ResultCache, executing
+
+    calls = []
+    monkeypatch.setattr(run_all, "SECTIONS",
+                        [("Tiny", lambda: calls.append(1))])
+    with executing(cache=ResultCache(tmp_path)):
+        run_all.main(quick=True)
+        run_all.main(quick=True, resume=True)
+    assert calls == [1]
+    assert "[Tiny skipped: done in a previous run" in capsys.readouterr().out

@@ -308,6 +308,20 @@ def test_constructor_and_install_faults_arm_the_same_run(monkeypatch):
     assert early.run().as_dict() == late.run().as_dict()
 
 
+def test_install_faults_none_disarms_an_earlier_schedule():
+    """A later ``install_faults(None)`` replaces the schedule and its
+    injector; the resilience policy the first call armed stays."""
+    sched = FaultSchedule().fail_village(0, 1, at_ns=1e6)
+    policy = ResilienceConfig(timeout_ns=500_000.0)
+    sim = _small_sim()
+    sim.install_faults(sched, policy)
+    sim.install_faults(None)
+    assert sim.faults is None and sim.injector is None
+    assert sim.resilience is policy
+    assert all(s.resilience is policy for s in sim.servers)
+    assert sim.run().stats["faults"]["injected"] is None
+
+
 def test_village_failure_triggers_timeout_retry_and_health_marks():
     sched = FaultSchedule(detection_ns=50_000.0) \
         .fail_village(0, 1, at_ns=1e6, recover_at_ns=3e6)

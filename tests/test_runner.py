@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.runner import (ParallelRunner, ResultCache, SweepPoint, SweepSpec,
-                          clear_memo, executing, result_from_dict,
+from repro.runner import (ResultCache, SweepPoint, SweepSpec, clear_memo,
+                          executing, execution, result_from_dict,
                           result_to_dict, run_points)
 from repro.systems import SCALEOUT, UMANYCORE, simulate
 from repro.telemetry import Tracer
@@ -57,8 +57,7 @@ def test_key_sensitive_to_scheduling_policy_fields():
     base = point().key()
     assert point(config=replace(UMANYCORE, dispatch="least")).key() != base
     assert point(config=replace(UMANYCORE, rq_policy="srpt")).key() != base
-    assert point(config=replace(UMANYCORE, steal_policy="maxload")).key() \
-        != base
+    assert point(config=replace(UMANYCORE, steal="maxload")).key() != base
     assert point(config=replace(UMANYCORE, core_bypass=True)).key() != base
 
 
@@ -195,15 +194,15 @@ def test_serial_equals_parallel_equals_cached(tmp_path):
 
     cache = ResultCache(tmp_path)
     events = []
-    runner = ParallelRunner(jobs=2, cache=cache, progress=events.append)
-    cold = runner.run(points)
+    cold = run_points(points, jobs=2, cache=cache, progress=events.append,
+                      memo=False)
     assert [r.as_dict() for r in cold] == [r.as_dict() for r in serial]
     assert cache.misses == len(points)
     # Progress arrives in completion order; every point reports once.
     assert sorted(e["index"] for e in events) == [0, 1, 2]
     assert all(e["source"] == "run" and e["total"] == 3 for e in events)
 
-    warm = ParallelRunner(jobs=2, cache=cache).run(points)
+    warm = run_points(points, jobs=2, cache=cache, memo=False)
     assert cache.hits == len(points)
     assert [r.as_dict() for r in warm] == [r.as_dict() for r in serial]
 
@@ -215,8 +214,8 @@ def test_resume_runs_only_the_missing_points(tmp_path):
     cache.put(points[0].key(), points[0].run())
 
     events = []
-    results = ParallelRunner(jobs=1, cache=cache,
-                             progress=events.append).run(points)
+    results = run_points(points, jobs=1, cache=cache,
+                         progress=events.append, memo=False)
     assert cache.hits == 1 and cache.misses == 1
     sources = {e["index"]: e["source"] for e in events}
     assert sources == {0: "cache", 1: "run"}
@@ -249,3 +248,78 @@ def test_executing_context_routes_runs_through_the_cache(tmp_path):
     assert cache.misses == 1 and cache.hits == 1
     assert first.as_dict() == second.as_dict()
     assert first.as_dict() == run_direct(p).as_dict()
+
+
+def test_one_call_serves_memo_cache_and_fresh_points(tmp_path):
+    clear_memo()
+    memo_p, cache_p, fresh_p = (point(rps=r) for r in (1400.0, 2400.0,
+                                                       3400.0))
+    cache = ResultCache(tmp_path)
+    run_points([memo_p], cache=None)                 # fills the memo only
+    cache.put(cache_p.key(), cache_p.run())          # fills the cache only
+    events = []
+    results = run_points([memo_p, cache_p, fresh_p], jobs=1, cache=cache,
+                         progress=events.append)
+    assert sorted(e["index"] for e in events) == [0, 1, 2]
+    assert {e["index"]: e["source"] for e in events} == \
+        {0: "memo", 1: "cache", 2: "run"}
+    assert all(e["total"] == 3 for e in events)
+    assert cache.hits == 1 and cache.misses == 1
+    assert [r.as_dict() for r in results] == \
+        [run_direct(p).as_dict() for p in (memo_p, cache_p, fresh_p)]
+    clear_memo()
+
+
+def test_executing_folds_config_and_hybrid_into_direct_points(tmp_path):
+    """A SweepPoint built directly (not through ``point_for``, e.g. Fig
+    18's QoS calibration) gets the context's overrides, and is keyed
+    after them."""
+    from dataclasses import replace
+
+    from repro.hybrid import HybridConfig
+
+    p = point(rps=2600.0)
+    hybrid = HybridConfig(tol=0.0)
+    folded = replace(p, config=replace(UMANYCORE, dispatch="least",
+                                       core_bypass=True), hybrid=hybrid)
+    cache = ResultCache(tmp_path)
+    with executing(cache=cache, config={"dispatch": "least",
+                                        "core_bypass": True},
+                   hybrid=hybrid):
+        (result,) = run_points([p], memo=False)
+    assert cache.get(folded.key()) is not None
+    assert cache.get(p.key()) is None
+    assert result.stats["sched"]["dispatch"] == "least"
+    assert "hybrid" in result.stats
+    assert result.as_dict() == folded.run().as_dict()
+
+
+def test_point_with_its_own_hybrid_keeps_it(tmp_path):
+    from dataclasses import replace
+
+    from repro.hybrid import HybridConfig
+
+    p = replace(point(rps=2700.0), hybrid=HybridConfig(tol=0.0))
+    other = replace(p, hybrid=HybridConfig(tol=0.5))
+    cache = ResultCache(tmp_path)
+    with executing(cache=cache, hybrid=other.hybrid):
+        run_points([p], memo=False)
+    assert cache.get(p.key()) is not None
+    assert cache.get(other.key()) is None
+
+
+def test_executing_restores_every_field_when_the_body_raises(tmp_path):
+    before = execution()
+    snapshot = (before.jobs, before.cache, before.check, before.config,
+                before.hybrid)
+    with pytest.raises(RuntimeError):
+        with executing(jobs=3, cache=ResultCache(tmp_path), check=True,
+                       config={"dispatch": "least"}, hybrid=object()):
+            ctx = execution()
+            assert (ctx.jobs, ctx.check, ctx.config) == \
+                (3, True, {"dispatch": "least"})
+            assert ctx.cache is not None and ctx.hybrid is not None
+            raise RuntimeError("body failed")
+    after = execution()
+    assert (after.jobs, after.cache, after.check, after.config,
+            after.hybrid) == snapshot

@@ -63,7 +63,7 @@ def test_disabling_icn_contention_never_slows_requests():
 
 
 def test_work_stealing_config_runs():
-    cfg = dataclasses.replace(SCALEOUT, name="SO-steal", work_steal=True)
+    cfg = dataclasses.replace(SCALEOUT, name="SO-steal", steal="first")
     r = quick(cfg)
     assert r.completed == r.offered
 
