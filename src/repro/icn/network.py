@@ -126,11 +126,8 @@ class _Transit:
                         check.resource_event(link)
                     engine.schedule(self.hop_time, self.hop_done)
                 else:
-                    queue = link._queue
-                    queue.append((engine.now, self.hop_time, self))
+                    link._wait((engine.now, self.hop_time, self))
                     net._queued += 1
-                    if len(queue) > link.max_queue_len:
-                        link.max_queue_len = len(queue)
 
         if freed is not None and freed._queue and freed.busy < freed.capacity:
             arrival, hop_time, waiter = freed._queue.popleft()

@@ -4,12 +4,17 @@ The paper reports average and P99 ("tail") response times, measured
 end-to-end from client send to client receive (Section 6), after the
 system reaches steady state.  ``LatencyRecorder`` supports a warm-up
 cutoff so ramp-up samples can be excluded.
+
+Samples are stored packed, as ``array('d')`` columns (8 bytes a value
+rather than a boxed float and a list slot).  Whatever leaves a recorder
+is a numpy array that owns its data: an ``array`` whose buffer a live
+numpy view still holds raises ``BufferError`` on the next append.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -56,8 +61,8 @@ class LatencyRecorder:
 
     def __init__(self, name: str = ""):
         self.name = name
-        self._times: List[float] = []
-        self._latencies: List[float] = []
+        self._times = array("d")
+        self._latencies = array("d")
 
     def record(self, completion_ns: float, latency_ns: float) -> None:
         if latency_ns < 0:
@@ -69,9 +74,9 @@ class LatencyRecorder:
         return len(self._latencies)
 
     def latencies(self, after_ns: float = 0.0) -> np.ndarray:
-        """Latency samples completing after the warm-up cutoff."""
+        """Latency samples completing after the warm-up cutoff (a copy)."""
         if after_ns <= 0:
-            return np.asarray(self._latencies)
+            return np.array(self._latencies)
         times = np.asarray(self._times)
         lats = np.asarray(self._latencies)
         return lats[times >= after_ns]

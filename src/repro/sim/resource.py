@@ -4,12 +4,22 @@
 serves jobs one at a time; contention appears as queueing delay.  It is the
 building block for ICN links/routers, software scheduler cores and NIC
 serialization points.
+
+Most resources of a simulated server never see a job wait (a 4-server
+flash-crowd cell builds about 1 600 links, cores and NIC ports, and a
+few hundred of them ever hold a waiter), so a resource's queue is
+allocated on its first waiter (:meth:`Resource._wait`): until then
+``_queue`` is one shared empty tuple, which reads as an empty queue.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional, Tuple
+from typing import Any, Callable, Deque, Optional, Tuple, Union
+
+#: The queue of every resource that has never had a job wait: empty,
+#: shared and immutable.  :meth:`Resource._wait` swaps in a ``deque``.
+_NO_QUEUE: Tuple = ()
 
 
 class Resource:
@@ -33,7 +43,9 @@ class Resource:
         self.busy = 0
         #: Waiting jobs as ``(arrival, service_time, done)``; an ICN link
         #: queues the waiting ``_Transit`` itself (:mod:`repro.icn.network`).
-        self._queue: Deque[Tuple[float, float, Any]] = deque()
+        #: An empty tuple until the first job waits.
+        self._queue: Union[Deque[Tuple[float, float, Any]], Tuple] = \
+            _NO_QUEUE
         self.jobs_served = 0
         check = getattr(engine, "check", None)
         if check is not None and check.enabled:
@@ -56,9 +68,16 @@ class Resource:
                 check.resource_event(self)
             engine.schedule(service_time, self._finish, service_time, done)
         else:
-            self._queue.append((self.engine.now, service_time, done))
-            if len(self._queue) > self.max_queue_len:
-                self.max_queue_len = len(self._queue)
+            self._wait((self.engine.now, service_time, done))
+
+    def _wait(self, entry: Tuple[float, float, Any]) -> None:
+        """Queue one waiting job, allocating the queue on the first."""
+        queue = self._queue
+        if queue is _NO_QUEUE:
+            queue = self._queue = deque()
+        queue.append(entry)
+        if len(queue) > self.max_queue_len:
+            self.max_queue_len = len(queue)
 
     @property
     def queue_length(self) -> int:

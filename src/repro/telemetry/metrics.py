@@ -14,10 +14,16 @@ every reader and leaves plain data — gauge names, sampled series,
 counters and histograms.  ``ClusterSimulation.run`` closes its registry
 as soon as the engine stops, so a ``RunResult`` never keeps a finished
 simulator alive.
+
+Observations and gauge samples are stored packed, as ``array('d')``
+columns, with one column of sample times shared by every gauge; the
+``(t, v)`` pairs of :attr:`MetricsRegistry.series` are built only when
+asked for.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,7 +69,7 @@ class Histogram:
     def __init__(self, name: str):
         """Name the histogram; no observations yet."""
         self.name = name
-        self._values: List[float] = []
+        self._values = array("d")
 
     def observe(self, value: float) -> None:
         """Record one observation."""
@@ -109,11 +115,15 @@ class MetricsRegistry:
     def __init__(self) -> None:
         """Create an empty, open registry."""
         self._counters: Dict[str, Counter] = {}
-        #: None once closed; ``series`` keeps the names in order.
+        #: None once closed; ``_columns`` keeps the names in order.
         self._gauges: Optional[Dict[str, Gauge]] = {}
         self._histograms: Dict[str, Histogram] = {}
-        #: gauge name -> [(sample_time_ns, value)]
-        self.series: Dict[str, List[Tuple[float, float]]] = {}
+        #: Time in ns of every sample taken, shared by all gauges.
+        self._times = array("d")
+        #: gauge name -> (index into ``_times`` of its first sample,
+        #: sampled values); a gauge registered after sampling began
+        #: starts later.
+        self._columns: Dict[str, Tuple[int, array]] = {}
         self.samples_taken = 0
 
     # ------------------------------------------------------- instruments
@@ -131,7 +141,7 @@ class MetricsRegistry:
         if name in self._gauges:
             raise ValueError(f"gauge {name!r} already registered")
         g = self._gauges[name] = Gauge(name, fn)
-        self.series[name] = []
+        self._columns[name] = (len(self._times), array("d"))
         return g
 
     def histogram(self, name: str) -> Histogram:
@@ -144,14 +154,22 @@ class MetricsRegistry:
     @property
     def gauges(self) -> Sequence[str]:
         """Registered gauge names, in registration order."""
-        return list(self.series)
+        return list(self._columns)
+
+    @property
+    def series(self) -> Dict[str, List[Tuple[float, float]]]:
+        """Every gauge's sampled series as ``{name: [(t_ns, value)]}``,
+        built from the packed columns on each access."""
+        times = self._times
+        return {name: list(zip(times[first:], values))
+                for name, (first, values) in self._columns.items()}
 
     # ---------------------------------------------------------- lifetime
 
     def close(self) -> None:
         """Drop every gauge's reader callable; keep all recorded data.
 
-        Gauge names, ``series``, counters, histograms and
+        Gauge names, sampled series, counters, histograms and
         ``samples_taken`` survive, and counters and histograms stay
         writable.  Afterwards :meth:`sample_once`, :meth:`start_sampling`
         and :meth:`gauge` raise.  Closing a closed registry does nothing.
@@ -168,8 +186,10 @@ class MetricsRegistry:
         """Read every gauge and append to its time series."""
         self._require_open("sample gauges")
         self.samples_taken += 1
+        self._times.append(now_ns)
+        columns = self._columns
         for name, gauge in self._gauges.items():
-            self.series[name].append((now_ns, gauge.read()))
+            columns[name][1].append(gauge.read())
 
     def start_sampling(self, engine, interval_ns: float) -> None:
         """Sample every ``interval_ns`` of simulated time.
@@ -192,10 +212,10 @@ class MetricsRegistry:
 
     def series_stats(self, name: str) -> Dict[str, float]:
         """Mean/max over one gauge's sampled series."""
-        points = self.series.get(name)
-        if not points:
+        columns = self._columns.get(name)
+        if columns is None or not columns[1]:
             return {"samples": 0}
-        vals = np.asarray([v for __, v in points])
+        vals = np.asarray(columns[1])
         return {"samples": int(vals.size), "mean": float(vals.mean()),
                 "max": float(vals.max())}
 
@@ -203,7 +223,7 @@ class MetricsRegistry:
         """JSON-serializable dump of every instrument and series stat."""
         return {
             "counters": {n: c.value for n, c in sorted(self._counters.items())},
-            "gauges": {n: self.series_stats(n) for n in sorted(self.series)},
+            "gauges": {n: self.series_stats(n) for n in sorted(self._columns)},
             "histograms": {n: h.summary()
                            for n, h in sorted(self._histograms.items())},
             "samples_taken": self.samples_taken,

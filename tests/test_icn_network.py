@@ -506,8 +506,10 @@ def test_route_tables_hold_one_entry_per_pair_and_no_variants():
     """20 000 sends on a uManycore-128 leaf-spine (4 pods, 2 leaves per
     pod, 16 villages) compile one entry per endpoint pair and retain no
     per-path object: the live objects after the sends drain are the
-    ones that lived before."""
+    ones that lived before, plus the FIFO queue of each link on which a
+    message waited for the first time."""
     import gc
+    from collections import deque
     from dataclasses import replace
 
     from repro.systems.cluster import ClusterSimulation
@@ -531,6 +533,9 @@ def test_route_tables_hold_one_entry_per_pair_and_no_variants():
 
     pick = np.random.default_rng(1)
     gc.collect()
+    # Links that have never held a waiter, so hold no queue yet.
+    idle = [link for link in net._links.values() if not link.max_queue_len]
+    assert all(type(link._queue) is not deque for link in idle)
     before = len(gc.get_objects())
     for k in range(20_000):
         src, dst = pairs[int(pick.integers(len(pairs)))]
@@ -542,9 +547,12 @@ def test_route_tables_hold_one_entry_per_pair_and_no_variants():
     grown = len(gc.get_objects()) - before
     assert len(net._pairs) == len(pairs) and len(net._links) == links
     assert net.messages_sent == len(pairs) + 20_000
+    # A queue is allocated exactly on a link's first waiter.
+    new_queues = sum(type(link._queue) is deque for link in idle)
+    assert new_queues == sum(link.max_queue_len > 0 for link in idle)
     # Per-path objects would leave a few container objects behind for
     # each of the thousands of distinct ECMP paths drawn.
-    assert grown < 100, grown
+    assert grown - new_queues < 100, (grown, new_queues)
 
 
 def test_adding_a_link_recompiles_the_pair_tables():
