@@ -3,7 +3,7 @@
 Each benchmark regenerates (a reduced-scale version of) one paper figure
 or table and asserts its headline *shape*; pytest-benchmark reports the
 time to regenerate it.  Full-scale regeneration is done by
-``python -m repro.experiments.<figure>``.
+``python -m repro experiment <id>`` (ids in ``repro.experiments.FIGURES``).
 """
 
 import pytest

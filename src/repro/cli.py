@@ -25,6 +25,7 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.experiments import FIGURES
 from repro.systems.configs import SCALEOUT, SERVERCLASS, SERVERCLASS_128, \
     UMANYCORE
 from repro.workloads.arrival import ARRIVAL_NAMES
@@ -38,23 +39,8 @@ SYSTEMS = {
     "serverclass128": SERVERCLASS_128,
 }
 
-#: Experiment id -> module under :mod:`repro.experiments`.
-EXPERIMENT_MODULES = {
-    "fig01": "fig01_microarch", "fig02": "fig02_rps_cdf",
-    "fig03": "fig03_queues", "fig04": "fig04_cpu_util",
-    "fig05": "fig05_rpc_count", "fig06": "fig06_context_switch",
-    "fig07": "fig07_icn_contention", "fig08": "fig08_footprint",
-    "fig09": "fig09_hit_rates", "fig14": "fig14_tail_latency",
-    "fig15": "fig15_breakdown", "fig16": "fig16_avg_latency",
-    "fig17": "fig17_tail_to_avg", "fig18": "fig18_throughput",
-    "fig19": "fig19_sensitivity", "fig20": "fig20_synthetic",
-    "figD": "figD_datacenter", "figF": "figF_faults",
-    "figH": "figH_hybrid", "figS": "figS_policies",
-    "figW": "figW_scenarios",
-    "sec68": "sec68_iso_area", "power": "power_area",
-    "all": "run_all",
-}
-EXPERIMENTS = list(EXPERIMENT_MODULES)
+#: ``repro experiment`` ids: every figure of the table, then ``all``.
+EXPERIMENTS = [fig_id for fig_id, __, __title in FIGURES] + ["all"]
 
 
 def _resolve_app(name: str):
@@ -464,26 +450,19 @@ def cmd_experiment(args) -> None:
     """
     import importlib
 
-    from repro.experiments.common import QUICK
-
-    module = importlib.import_module(
-        f"repro.experiments.{EXPERIMENT_MODULES[args.id]}")
-    if args.id == "all":
-        kwargs = {"quick": args.quick,
-                  "resume": args.resume and not args.check}
-    elif args.resume:
+    if args.resume and args.id != "all":
         raise SystemExit(f"--resume is only supported by all, "
                          f"not {args.id}")
-    elif args.quick:
-        import inspect
-
-        if "settings" not in inspect.signature(module.main).parameters:
-            raise SystemExit(f"--quick is not supported by {args.id}")
-        kwargs = {"settings": QUICK}
-    else:
-        kwargs = {}
     with _executing(args):
-        module.main(**kwargs)
+        if args.id == "all":
+            from repro.experiments import run_all
+
+            run_all.main(quick=args.quick,
+                         resume=args.resume and not args.check)
+        else:
+            module = {fig_id: name for fig_id, name, __ in FIGURES}[args.id]
+            importlib.import_module(
+                f"repro.experiments.{module}").main(quick=args.quick)
 
 
 def cmd_validate(args) -> None:
@@ -806,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "invariant sanitizer (implies --no-cache)")
     exp.add_argument("--quick", action="store_true",
                      help="reduced scales — smoke-test the figure "
-                          "('all' and the settings-aware figures)")
+                          "(fixed-scale figures run their one scale)")
     exp.add_argument("--resume", action="store_true",
                      help="'all' only: skip sections a previous run with "
                           "the same settings and code completed (needs "

@@ -1,14 +1,13 @@
-"""Shared experiment harness: run settings, matrices, formatting."""
+"""Shared experiment harness: run settings, sweep points, formatting."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
-from repro.runner import SweepPoint, run_points
-from repro.systems.cluster import RunResult
+from repro.runner import SweepPoint
 from repro.systems.configs import SystemConfig
 from repro.workloads.spec import AppSpec
 
@@ -59,28 +58,6 @@ def point_for(config: SystemConfig, app: AppSpec, rps: float,
                       n_servers=settings.n_servers,
                       duration_s=settings.duration_s, seed=settings.seed,
                       warmup_fraction=settings.warmup_fraction, **overrides)
-
-
-def run_matrix(configs: Sequence[SystemConfig], apps: Sequence[AppSpec],
-               loads: Sequence[float], settings: Settings,
-               progress: bool = False
-               ) -> Dict[Tuple[str, str, float], RunResult]:
-    """Cross product of systems x apps x loads.
-
-    The whole grid is submitted to :func:`~repro.runner.run_points` as
-    one batch, so ``--jobs N`` parallelises it transparently;
-    the returned table is identical for any jobs count or cache state.
-    """
-    cells = [(config, app, rps)
-             for rps in loads for app in apps for config in configs]
-    if progress:
-        for config, app, rps in cells:
-            print(f"  running {config.name} / {app.name} @ {rps} RPS",
-                  flush=True)
-    results = run_points([point_for(config, app, rps, settings)
-                          for config, app, rps in cells])
-    return {(config.name, app.name, rps): result
-            for (config, app, rps), result in zip(cells, results)}
 
 
 def format_table(headers: List[str], rows: Iterable[Sequence]) -> str:

@@ -22,8 +22,9 @@ def run(n: int = 200_000, seed: int = 7) -> Dict[str, np.ndarray]:
     return {"grid": grid, "cdf": cdf(rps, grid), "samples": rps}
 
 
-def main() -> None:
-    """Print this figure's tables to stdout."""
+def main(quick: bool = False) -> None:
+    """Print this figure's tables to stdout (one fixed scale: ``quick``
+    is ignored)."""
     r = run()
     rows = [[f"{int(g)}", f"{c:.3f}"] for g, c in zip(r["grid"], r["cdf"])]
     print("Figure 2: CDF of per-server load (RPS)")
@@ -33,7 +34,3 @@ def main() -> None:
     print(f"\nmedian = {np.median(samples):.0f} RPS (paper ~500)")
     print(f"P(load >= 1000) = {(samples >= 1000).mean():.3f} (paper ~0.20)")
     print(f"P(load >= 1500) = {(samples >= 1500).mean():.3f} (paper ~0.05)")
-
-
-if __name__ == "__main__":
-    main()

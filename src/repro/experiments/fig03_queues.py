@@ -67,8 +67,9 @@ def run(rps: float = 50_000, compute_scale: float = 15.0,
             for cell, r in zip(cells, results)}
 
 
-def main() -> None:
-    """Print this figure's tables to stdout."""
+def main(quick: bool = False) -> None:
+    """Print this figure's tables to stdout (one fixed scale: ``quick``
+    is ignored)."""
     results = run()
     rows: List[List[str]] = []
     for n_queues in QUEUE_COUNTS:
@@ -87,7 +88,3 @@ def main() -> None:
     print(f"\nbest queue count (no stealing): {best} (paper: 32)")
     print(f"tail at 1024 queues vs best: {many:.1f}x (paper: 4.1x)")
     print(f"tail at 1 queue vs best: {one:.1f}x (paper: 4.5x)")
-
-
-if __name__ == "__main__":
-    main()

@@ -51,8 +51,9 @@ def run(loads: Tuple[int, ...] = LOADS,
     return {cell: r.p99_ns for cell, r in zip(cells, results)}
 
 
-def main() -> None:
-    """Print this figure's tables to stdout."""
+def main(quick: bool = False) -> None:
+    """Print this figure's tables to stdout (one fixed scale: ``quick``
+    is ignored)."""
     results = run()
     rows = []
     for cycles in CS_CYCLES:
@@ -66,7 +67,3 @@ def main() -> None:
                        rows))
     print("\npaper: Linux (~5K cycles) degrades 26-38x at 50K RPS; "
           "software schedulers (~2K) 13-23x; 128-256 cycles ~1x")
-
-
-if __name__ == "__main__":
-    main()

@@ -54,8 +54,9 @@ def run(loads: Tuple[int, ...] = LOADS,
             for topology in TOPOLOGIES for rps in loads}
 
 
-def main() -> None:
-    """Print this figure's tables to stdout."""
+def main(quick: bool = False) -> None:
+    """Print this figure's tables to stdout (one fixed scale: ``quick``
+    is ignored)."""
     results = run()
     rows = []
     for rps in LOADS:
@@ -66,7 +67,3 @@ def main() -> None:
     print(format_table(["load (RPS)", "2D mesh", "fat tree"], rows))
     print("\npaper at 50K RPS: mesh 14.7x, fat-tree 7.5x; "
           "mesh worse than fat-tree at every load")
-
-
-if __name__ == "__main__":
-    main()

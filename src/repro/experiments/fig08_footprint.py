@@ -33,15 +33,12 @@ def run(n_handlers: int = 20, seed: int = 0) -> Dict[str, Dict[str, float]]:
     return {"Handler-Handler": mean_bars(hh), "Handler-Init": mean_bars(hi)}
 
 
-def main() -> None:
-    """Print this figure's tables to stdout."""
+def main(quick: bool = False) -> None:
+    """Print this figure's tables to stdout (one fixed scale: ``quick``
+    is ignored)."""
     results = run()
     rows = [[group] + [f"{results[group][bar]:.3f}" for bar in BARS]
             for group in results]
     print("Figure 8: common fraction of a handler's memory footprint")
     print(format_table(["comparison"] + list(BARS), rows))
     print("\npaper: 78-99% common across all eight bars")
-
-
-if __name__ == "__main__":
-    main()

@@ -64,8 +64,9 @@ def run(n_accesses: int = 120_000, seed: int = 0) -> Dict[str, Dict[str, float]]
     return out
 
 
-def main() -> None:
-    """Print this figure's tables to stdout."""
+def main(quick: bool = False) -> None:
+    """Print this figure's tables to stdout (one fixed scale: ``quick``
+    is ignored)."""
     results = run()
     headers = ["kind", "L1TLB", "L1Cache", "L2TLB", "L2Cache"]
     rows = [[kind] + [f"{results[kind][k]:.3f}" for k in headers[1:]]
@@ -73,7 +74,3 @@ def main() -> None:
     print("Figure 9: TLB and cache hit rates on handler traces")
     print(format_table(headers, rows))
     print("\npaper: L1 TLB and L1 cache above 0.95; L2 lower (L1-filtered)")
-
-
-if __name__ == "__main__":
-    main()

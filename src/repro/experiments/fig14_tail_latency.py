@@ -6,34 +6,12 @@ at 5K / 10K / 15K RPS, and vs ScaleOut by 5.4x / 6.5x / 7.4x.
 
 from __future__ import annotations
 
-from repro.experiments.common import APP_ORDER, PAPER_LOADS, Settings, \
-    format_table
-from repro.experiments.latency_matrix import reduction_vs, run
+from repro.experiments.latency_matrix import print_reductions
+
+PAPER_SC = {5000: 6.3, 10000: 8.3, 15000: 16.7}
+PAPER_SO = {5000: 5.4, 10000: 6.5, 15000: 7.4}
 
 
-def main(settings: Settings = Settings(), progress: bool = True) -> None:
+def main(quick: bool = False) -> None:
     """Print this figure's tables to stdout."""
-    matrix = run(settings=settings, progress=progress)
-    paper_sc = {5000: 6.3, 10000: 8.3, 15000: 16.7}
-    paper_so = {5000: 5.4, 10000: 6.5, 15000: 7.4}
-    for load in PAPER_LOADS:
-        rows = []
-        for app in APP_ORDER:
-            sc = matrix[("ServerClass", app, load)].p99_ns
-            so = matrix[("ScaleOut", app, load)].p99_ns
-            um = matrix[("uManycore", app, load)].p99_ns
-            rows.append([app, f"{sc/1e6:.2f}", f"{so/sc:.3f}",
-                         f"{um/sc:.3f}"])
-        print(f"\nFigure 14 — load {load//1000}K RPS "
-              f"(ServerClass ms; others normalized to ServerClass)")
-        print(format_table(["app", "ServerClass(ms)", "ScaleOut",
-                            "uManycore"], rows))
-        sc_x = reduction_vs(matrix, "p99_ns", "ServerClass", load)
-        so_x = reduction_vs(matrix, "p99_ns", "ScaleOut", load)
-        print(f"tail reduction: vs ServerClass {sc_x:.1f}x "
-              f"(paper {paper_sc[load]}x); vs ScaleOut {so_x:.1f}x "
-              f"(paper {paper_so[load]}x)")
-
-
-if __name__ == "__main__":
-    main()
+    print_reductions(14, "p99_ns", "tail", PAPER_SC, PAPER_SO, quick)

@@ -20,8 +20,8 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.experiments.ascii_plot import bar_chart
-from repro.experiments.common import APP_ORDER, Settings, format_table, \
-    geomean, point_for
+from repro.experiments.common import APP_ORDER, QUICK, Settings, \
+    format_table, geomean, point_for
 from repro.runner import run_points
 from repro.systems.cluster import simulate
 from repro.systems.configs import SCALEOUT, ablation_ladder
@@ -67,8 +67,9 @@ def span_breakdown(rps: float = 15_000, app_name: str = "Text",
     return out
 
 
-def main(settings: Settings = Settings()) -> None:
+def main(quick: bool = False) -> None:
     """Print this figure's tables to stdout."""
+    settings = QUICK if quick else Settings()
     results = run(settings=settings)
     step_names = [cfg.name for cfg in ablation_ladder()]
     rows = []
@@ -102,7 +103,3 @@ def main(settings: Settings = Settings()) -> None:
             + [f"{100.0 * agg['fraction'][c]:.1f}" for c in cats]
             + [f"{agg['wall_mean_ns'] / 1e3:.0f}"])
     print(format_table(["step"] + cats + ["mean us"], bd_rows))
-
-
-if __name__ == "__main__":
-    main()

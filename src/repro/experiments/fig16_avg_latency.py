@@ -7,34 +7,12 @@ smaller than the tail reductions, since the design targets the tail.
 
 from __future__ import annotations
 
-from repro.experiments.common import APP_ORDER, PAPER_LOADS, Settings, \
-    format_table
-from repro.experiments.latency_matrix import reduction_vs, run
+from repro.experiments.latency_matrix import print_reductions
+
+PAPER_SC = {5000: 2.3, 10000: 3.2, 15000: 5.6}
+PAPER_SO = {5000: 2.1, 10000: 2.5, 15000: 3.2}
 
 
-def main(settings: Settings = Settings(), progress: bool = True) -> None:
+def main(quick: bool = False) -> None:
     """Print this figure's tables to stdout."""
-    matrix = run(settings=settings, progress=progress)
-    paper_sc = {5000: 2.3, 10000: 3.2, 15000: 5.6}
-    paper_so = {5000: 2.1, 10000: 2.5, 15000: 3.2}
-    for load in PAPER_LOADS:
-        rows = []
-        for app in APP_ORDER:
-            sc = matrix[("ServerClass", app, load)].mean_ns
-            so = matrix[("ScaleOut", app, load)].mean_ns
-            um = matrix[("uManycore", app, load)].mean_ns
-            rows.append([app, f"{sc/1e6:.2f}", f"{so/sc:.3f}",
-                         f"{um/sc:.3f}"])
-        print(f"\nFigure 16 — load {load//1000}K RPS "
-              f"(ServerClass ms; others normalized to ServerClass)")
-        print(format_table(["app", "ServerClass(ms)", "ScaleOut",
-                            "uManycore"], rows))
-        sc_x = reduction_vs(matrix, "mean_ns", "ServerClass", load)
-        so_x = reduction_vs(matrix, "mean_ns", "ScaleOut", load)
-        print(f"average reduction: vs ServerClass {sc_x:.1f}x "
-              f"(paper {paper_sc[load]}x); vs ScaleOut {so_x:.1f}x "
-              f"(paper {paper_so[load]}x)")
-
-
-if __name__ == "__main__":
-    main()
+    print_reductions(16, "mean_ns", "average", PAPER_SC, PAPER_SO, quick)

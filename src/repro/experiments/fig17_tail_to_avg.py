@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.common import APP_ORDER, PAPER_LOADS, Settings, \
-    format_table, geomean
+from repro.experiments.common import APP_ORDER, PAPER_LOADS, QUICK, \
+    Settings, format_table, geomean
 from repro.experiments.latency_matrix import run
 
 
-def main(settings: Settings = Settings(), progress: bool = True) -> None:
+def main(quick: bool = False) -> None:
     """Print this figure's tables to stdout."""
-    matrix = run(settings=settings, progress=progress)
+    matrix = run(settings=QUICK if quick else Settings())
     rows = []
     ratios = {"uManycore": [], "ScaleOut": [], "ServerClass": []}
     for app in APP_ORDER:
@@ -36,7 +36,3 @@ def main(settings: Settings = Settings(), progress: bool = True) -> None:
     so = geomean(ratios["ScaleOut"]) / geomean(ratios["uManycore"])
     print(f"\nuManycore ratio lower than ServerClass by {sc:.1f}x "
           f"(paper 2.7x), than ScaleOut by {so:.1f}x (paper 2.3x)")
-
-
-if __name__ == "__main__":
-    main()

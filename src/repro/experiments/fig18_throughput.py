@@ -143,8 +143,9 @@ def run(apps: Sequence[str] = DEFAULT_APPS,
             for (config, app), load in zip(pairs, loads)}
 
 
-def main() -> None:
-    """Print this figure's tables to stdout."""
+def main(quick: bool = False) -> None:
+    """Print this figure's tables to stdout (one fixed scale: ``quick``
+    is ignored)."""
     results = run()
     apps = sorted({app for __, app in results})
     rows = []
@@ -162,7 +163,3 @@ def main() -> None:
                   for a in apps])
     print(f"\naverage: {sc:.1f}x over ServerClass (paper 15.5x), "
           f"{so:.1f}x over ScaleOut (paper 4.3x)")
-
-
-if __name__ == "__main__":
-    main()

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.experiments.common import APP_ORDER, Settings, format_table, \
-    point_for
+from repro.experiments.common import APP_ORDER, QUICK, Settings, \
+    format_table, point_for
 from repro.runner import run_points
 from repro.systems.configs import umanycore_variant
 from repro.workloads.deathstar import social_network_app
@@ -33,9 +33,9 @@ def run(rps: float = 15_000, apps=tuple(APP_ORDER),
     return {cell: r.p99_ns for cell, r in zip(cells, results)}
 
 
-def main(settings: Settings = Settings()) -> None:
+def main(quick: bool = False) -> None:
     """Print this figure's tables to stdout."""
-    results = run(settings=settings)
+    results = run(settings=QUICK if quick else Settings())
     headers = ["app"] + ["x".join(map(str, s)) for s in SHAPES]
     rows = []
     for app in APP_ORDER:
@@ -46,7 +46,3 @@ def main(settings: Settings = Settings()) -> None:
           "(normalized to 8x4x32), 15K RPS")
     print(format_table(headers, rows))
     print("\npaper: all within ~15%; default best overall")
-
-
-if __name__ == "__main__":
-    main()

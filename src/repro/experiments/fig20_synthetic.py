@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.experiments.common import PAPER_LOADS, Settings, format_table, \
-    geomean, point_for
+from repro.experiments.common import PAPER_LOADS, QUICK, Settings, \
+    format_table, geomean, point_for
 from repro.runner import run_points
 from repro.systems.configs import SCALEOUT, SERVERCLASS, UMANYCORE
 from repro.workloads.synthetic import SYNTHETIC_DISTRIBUTIONS, synthetic_app
@@ -37,9 +37,9 @@ def run(loads=PAPER_LOADS, settings: Settings = Settings()
             for (config, dist, rps), r in zip(cells, results)}
 
 
-def main(settings: Settings = Settings()) -> None:
+def main(quick: bool = False) -> None:
     """Print this figure's tables to stdout."""
-    results = run(settings=settings)
+    results = run(settings=QUICK if quick else Settings())
     rows = []
     ratios_sc, ratios_so = [], []
     for dist in SYNTHETIC_DISTRIBUTIONS:
@@ -58,7 +58,3 @@ def main(settings: Settings = Settings()) -> None:
     print(f"\naverage tail reduction: {geomean(ratios_sc):.1f}x vs "
           f"ServerClass (paper 9.1x); {geomean(ratios_so):.1f}x vs "
           f"ScaleOut (paper 7.2x)")
-
-
-if __name__ == "__main__":
-    main()

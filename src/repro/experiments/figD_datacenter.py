@@ -25,11 +25,12 @@ single-server story leaves out:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.dc import DcConfig
 from repro.experiments.common import Settings, format_table, point_for
-from repro.experiments.figF_faults import RESILIENCE
+from repro.experiments.figF_faults import QUICK_SETTINGS, RESILIENCE, \
+    SETTINGS
 from repro.faults import FaultSchedule
 from repro.runner import run_points
 from repro.systems.cluster import RunResult
@@ -131,17 +132,13 @@ def _straggler_rows(results, n):
     return rows
 
 
-def main(settings: Optional[Settings] = None) -> None:
+def main(quick: bool = False) -> None:
     """Print this figure's tables to stdout."""
-    quick = settings is not None and settings.n_servers == 1
-    if settings is None:
-        settings = Settings(n_servers=2, duration_s=0.01, seed=3)
+    if quick:
+        settings, sizes = QUICK_SETTINGS, QUICK_SIZES
+        n_straggler = QUICK_STRAGGLER_SERVERS
     else:
-        # Bound the per-point cost when riding along in run_all.
-        settings = replace(settings,
-                           duration_s=min(settings.duration_s, 0.01))
-    sizes = QUICK_SIZES if quick else SIZES
-    n_straggler = QUICK_STRAGGLER_SERVERS if quick else STRAGGLER_SERVERS
+        settings, sizes, n_straggler = SETTINGS, SIZES, STRAGGLER_SERVERS
     results = run(settings, sizes, n_straggler)
 
     print("Figure D: pooled tail vs cluster size x LB policy "
@@ -179,7 +176,3 @@ def main(settings: Optional[Settings] = None) -> None:
           "exactly when a server goes gray: the straggler's outstanding "
           "count rises and new roots route around it, while rr keeps "
           "feeding it 1/N of all traffic into a growing queue.")
-
-
-if __name__ == "__main__":
-    main()

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Tuple
 
-from repro.experiments.common import Settings, format_table, point_for
+from repro.experiments.common import QUICK, Settings, format_table, \
+    point_for
 from repro.faults import FaultSchedule, ResilienceConfig
 from repro.icn import FatTree, HierarchicalLeafSpine, Mesh2D, Topology
 from repro.runner import run_points
@@ -42,6 +43,12 @@ VARIANTS = (
 
 FAILED_LINKS = (0, 1, 2, 4)
 LOAD_RPS = 20_000            # mid load for the reduced-scale server
+
+#: Full scale of the reduced-server extension figures (F, S and D),
+#: and the ``--quick`` scale of S and D (F has none).  10 ms per point
+#: bounds their cost: the S combo grid is 6x wider than most figures'.
+SETTINGS = Settings(n_servers=2, duration_s=0.01, seed=3)
+QUICK_SETTINGS = replace(QUICK, duration_s=SETTINGS.duration_s)
 
 #: Timeout sits ~2x above the healthy p99 so retries never fire in
 #: fault-free runs (no retry storms), with a short capped backoff.
@@ -72,8 +79,7 @@ def pick_links(topo: Topology, k: int) -> List[Tuple[str, str]]:
 
 def run(failed_links: Tuple[int, ...] = FAILED_LINKS,
         rps: float = LOAD_RPS,
-        settings: Settings = Settings(n_servers=2, duration_s=0.01, seed=3)
-        ) -> Dict[Tuple[str, int], RunResult]:
+        settings: Settings = SETTINGS) -> Dict[Tuple[str, int], RunResult]:
     """One run per (topology variant, k failed links).
 
     Links fail at 30% of the run (past warm-up) and stay down, on every
@@ -108,8 +114,9 @@ def _bar(ratio: float, scale: float = 2.0, width: int = 32) -> str:
     return "#" * n
 
 
-def main() -> None:
-    """Print this figure's tables to stdout."""
+def main(quick: bool = False) -> None:
+    """Print this figure's tables to stdout (one fixed scale: ``quick``
+    is ignored)."""
     results = run()
     print("Figure F: p99 and goodput vs failed leaf-adjacent links\n")
     rows = []
@@ -144,7 +151,3 @@ def main() -> None:
     print("\nECMP redundancy keeps the leaf-spine flat; the fat-tree "
           "partitions and the XY mesh blackholes, so both pay the "
           "timeout+retry tail.")
-
-
-if __name__ == "__main__":
-    main()

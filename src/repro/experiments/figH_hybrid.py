@@ -27,7 +27,7 @@ import time
 from dataclasses import replace
 from typing import Optional, Tuple
 
-from repro.experiments.common import PAPER_LOADS, Settings, format_table
+from repro.experiments.common import PAPER_LOADS, format_table
 from repro.hybrid import HybridConfig
 from repro.runner import execution
 from repro.systems.cluster import ClusterSimulation
@@ -120,9 +120,8 @@ def run_load(rps: float, duration_s: float, seeds: Tuple[int, ...],
     return out
 
 
-def main(settings: Optional[Settings] = None) -> None:
+def main(quick: bool = False) -> None:
     """Print this figure's tables to stdout."""
-    quick = settings is not None and settings.n_servers == 1
     duration = QUICK_DURATION_S if quick else DURATION_S
     seeds = QUICK_SEEDS if quick else SEEDS
     cal = QUICK_CALIBRATION_ROOTS if quick else CALIBRATION_ROOTS
@@ -163,7 +162,3 @@ def main(settings: Optional[Settings] = None) -> None:
           "more.  Accuracy is bounded by calibration mass, not by "
           "elision: the frozen empirical tail carries the calibration "
           "window's quantile noise into every elided sample.")
-
-
-if __name__ == "__main__":
-    main()

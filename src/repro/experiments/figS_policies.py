@@ -20,10 +20,11 @@ every low-load request.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.experiments.common import Settings, format_table, point_for
-from repro.experiments.figF_faults import RESILIENCE, pick_links
+from repro.experiments.figF_faults import QUICK_SETTINGS, RESILIENCE, \
+    SETTINGS, pick_links
 from repro.faults import FaultSchedule
 from repro.runner import run_points
 from repro.systems.cluster import ClusterSimulation, RunResult
@@ -126,26 +127,19 @@ def _rows(results, loads, faulted: bool):
     return rows
 
 
-def main(settings: Optional[Settings] = None,
-         loads: Tuple[float, ...] = LOADS) -> None:
+def main(quick: bool = False) -> None:
     """Print this figure's tables to stdout."""
-    if settings is None:
-        settings = Settings(n_servers=2, duration_s=0.01, seed=3)
-    else:
-        # Bound the per-point cost when riding along in run_all: the
-        # combo grid is 6x wider than a normal figure's.
-        settings = replace(settings,
-                           duration_s=min(settings.duration_s, 0.01))
-    results = run(settings, loads)
+    settings = QUICK_SETTINGS if quick else SETTINGS
+    results = run(settings)
     headers = ["policy", "rps", "p50 us", "p99 us", "p999 us",
                "completed", "steals", "spills"]
     print("Figure S: scheduling policies vs load (fault-free)\n")
-    print(format_table(headers, _rows(results, loads, faulted=False)))
+    print(format_table(headers, _rows(results, LOADS, faulted=False)))
     print(f"\nFigure S: same grid under {FAILED_LINKS} failed "
           f"leaf-adjacent links (Figure F schedule)\n")
     print(format_table(headers + ["avail"],
-                       _rows(results, loads, faulted=True)))
-    top = loads[-1]
+                       _rows(results, LOADS, faulted=True)))
+    top = LOADS[-1]
     base_p99 = results[("rr+fcfs", False, top)].p99_ns
     print(f"\np99 at {top:g} RPS vs rr+fcfs "
           f"({base_p99 / 1e3:.1f} us):")
@@ -173,7 +167,3 @@ def main(settings: Optional[Settings] = None,
           "dispatch (least/affinity) misfires because RQ slots count "
           "blocked-on-RPC entries, a poor proxy for CPU backlog; the "
           "bypass only pays where the scheduler op costs real time.")
-
-
-if __name__ == "__main__":
-    main()

@@ -25,10 +25,9 @@ experiment is where the arrival-profile layer earns its keep:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
 
 from repro.dc import DcConfig
-from repro.experiments.common import Settings, format_table
+from repro.experiments.common import QUICK, Settings, format_table
 from repro.hybrid import HybridConfig
 from repro.runner import execution, run_points
 from repro.systems.cluster import ClusterSimulation
@@ -140,10 +139,9 @@ def run_flash_cell(autoscale: bool, hybrid: bool, duration_s: float,
     return out
 
 
-def main(settings: Optional[Settings] = None) -> None:
+def main(quick: bool = False) -> None:
     """Print this figure's tables to stdout."""
-    quick = settings is not None and settings.n_servers == 1
-    settings = settings or Settings()
+    settings = QUICK if quick else Settings()
 
     print(f"Figure W: non-stationary arrival scenarios "
           f"({settings.n_servers} server(s), {settings.duration_s:g} s, "
@@ -209,7 +207,3 @@ def main(settings: Optional[Settings] = None) -> None:
           "drift guard — widened for stationary burstiness but sharp "
           "for genuine non-stationarity — aborts the fast path on the "
           "ramp instead of freezing a stale steady-state model.")
-
-
-if __name__ == "__main__":
-    main()

@@ -34,8 +34,9 @@ def run() -> Dict[str, Dict[str, float]]:
     return out
 
 
-def main() -> None:
-    """Print this figure's tables to stdout."""
+def main(quick: bool = False) -> None:
+    """Print this figure's tables to stdout (one fixed scale: ``quick``
+    is ignored)."""
     results = run()
     paper_per_core = {"uManycore": 0.408, "ScaleOut": 0.396,
                       "ServerClass": 10.225, "ServerClass-128": 10.225}
@@ -55,7 +56,3 @@ def main() -> None:
           f"(paper 40)")
     print(f"iso-area ServerClass cores: {results['iso']['iso_area_cores']} "
           f"(paper 128)")
-
-
-if __name__ == "__main__":
-    main()

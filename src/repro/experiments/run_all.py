@@ -11,84 +11,29 @@ cached on disk (see :mod:`repro.runner`) keyed by configuration *and*
 code version, so a re-run after an interrupt — or a second full run —
 only simulates what changed; ``--no-cache`` forces everything to
 recompute and ``--resume`` additionally skips whole sections that a
-previous run with the same settings already printed.
+previous run at the same scale already printed.
 """
 
 from __future__ import annotations
 
-import inspect
+import importlib
 import time
+from itertools import groupby
+from operator import itemgetter
 
-from repro.experiments import (
-    fig01_microarch,
-    fig02_rps_cdf,
-    fig03_queues,
-    fig04_cpu_util,
-    fig05_rpc_count,
-    fig06_context_switch,
-    fig07_icn_contention,
-    fig08_footprint,
-    fig09_hit_rates,
-    fig14_tail_latency,
-    fig15_breakdown,
-    fig16_avg_latency,
-    fig17_tail_to_avg,
-    fig18_throughput,
-    fig19_sensitivity,
-    fig20_synthetic,
-    figD_datacenter,
-    figH_hybrid,
-    figS_policies,
-    figW_scenarios,
-    power_area,
-    sec68_iso_area,
-)
-from repro.experiments.common import QUICK, Settings
-from repro.runner import ResultCache, code_version, digest, execution, \
-    fingerprint
+from repro.experiments import FIGURES
+from repro.runner import ResultCache, code_version, digest, execution
 
-SECTIONS = [
-    ("Figure 1", fig01_microarch.main),
-    ("Figure 2", fig02_rps_cdf.main),
-    ("Figure 3", fig03_queues.main),
-    ("Figure 4", fig04_cpu_util.main),
-    ("Figure 5", fig05_rpc_count.main),
-    ("Figure 6", fig06_context_switch.main),
-    ("Figure 7", fig07_icn_contention.main),
-    ("Figure 8", fig08_footprint.main),
-    ("Figure 9", fig09_hit_rates.main),
-    ("Figures 14/16/17", None),  # share one matrix; run via wrappers below
-    ("Figure 15", fig15_breakdown.main),
-    ("Figure 18", fig18_throughput.main),
-    ("Figure 19", fig19_sensitivity.main),
-    ("Figure 20", fig20_synthetic.main),
-    ("Section 6.8", sec68_iso_area.main),
-    ("Power & area", power_area.main),
-    # Appended last so earlier sections' output stays a stable prefix.
-    ("Figure S (policies)", figS_policies.main),
-    ("Figure D (datacenter)", figD_datacenter.main),
-    ("Figure H (hybrid)", figH_hybrid.main),
-    ("Figure W (scenarios)", figW_scenarios.main),
-]
+#: ``(title, figure modules)`` per section, in print order.
+SECTIONS = [(title, [module for __, module, __title in figures])
+            for title, figures in groupby(FIGURES, key=itemgetter(2))
+            if title is not None]
 
 
-def _section_marker(cache: ResultCache, title: str,
-                    settings: Settings):
-    """Path of the done-marker for one section under these settings."""
-    key = digest({"code": code_version(), "settings": fingerprint(settings),
-                  "title": title})
+def _section_marker(cache: ResultCache, title: str, quick: bool):
+    """Path of the done-marker for one section at this scale."""
+    key = digest({"code": code_version(), "quick": quick, "title": title})
     return cache.root / "sections" / f"{key}.done"
-
-
-def _run_section(title, runner, settings) -> None:
-    if runner is None:
-        fig14_tail_latency.main(settings=settings, progress=False)
-        fig16_avg_latency.main(settings=settings, progress=False)
-        fig17_tail_to_avg.main(settings=settings, progress=False)
-    elif "settings" in inspect.signature(runner).parameters:
-        runner(settings=settings)
-    else:
-        runner()
 
 
 def main(quick: bool = False, resume: bool = False) -> None:
@@ -98,18 +43,18 @@ def main(quick: bool = False, resume: bool = False) -> None:
     :func:`repro.runner.execution` (``repro experiment all`` sets them).
 
     Args:
-        quick: Use reduced scales (the ``--quick`` smoke configuration).
-        resume: Skip sections a previous same-settings run completed
+        quick: Use reduced scales (the ``--quick`` smoke configuration);
+            passed unchanged to every figure's ``main``.
+        resume: Skip sections a previous same-scale run completed
             (their tables are *not* reprinted); requires the cache.
     """
     cache = execution().cache
     if resume and cache is None:
         raise SystemExit("--resume requires the result cache "
                          "(drop --no-cache)")
-    settings = QUICK if quick else Settings()
     start = time.time()
-    for title, runner in SECTIONS:
-        marker = (_section_marker(cache, title, settings)
+    for title, modules in SECTIONS:
+        marker = (_section_marker(cache, title, quick)
                   if cache is not None else None)
         if resume and marker is not None and marker.exists():
             print(f"\n[{title} skipped: done in a previous run "
@@ -117,7 +62,9 @@ def main(quick: bool = False, resume: bool = False) -> None:
             continue
         print(f"\n{'=' * 72}\n{title}\n{'=' * 72}", flush=True)
         t0 = time.time()
-        _run_section(title, runner, settings)
+        for module in modules:
+            importlib.import_module(
+                f"repro.experiments.{module}").main(quick=quick)
         print(f"[{title} done in {time.time() - t0:.0f}s]", flush=True)
         if marker is not None:
             marker.parent.mkdir(parents=True, exist_ok=True)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.experiments.common import PAPER_LOADS, Settings, format_table, \
-    geomean, point_for
+from repro.experiments.common import PAPER_LOADS, QUICK, Settings, \
+    format_table, geomean, point_for
 from repro.power import system_budget
 from repro.runner import run_points
 from repro.systems.configs import SERVERCLASS_128, UMANYCORE
@@ -33,9 +33,9 @@ def run(apps=DEFAULT_APPS, loads=PAPER_LOADS,
             for (config, app_name, rps), r in zip(cells, results)}
 
 
-def main(settings: Settings = Settings()) -> None:
+def main(quick: bool = False) -> None:
     """Print this figure's tables to stdout."""
-    results = run(settings=settings)
+    results = run(settings=QUICK if quick else Settings())
     apps = sorted({a for __, a, __l in results})
     rows, ratios = [], []
     for app in apps:
@@ -51,7 +51,3 @@ def main(settings: Settings = Settings()) -> None:
         system_budget(UMANYCORE).power_w
     print(f"power: ServerClass-128 uses {power_ratio:.1f}x the uManycore "
           f"power (paper 3.2x)")
-
-
-if __name__ == "__main__":
-    main()

@@ -110,7 +110,7 @@ class SweepSpec:
 
     The expansion order is load-major — ``for seed: for rps: for app:
     for config:`` — matching the classic
-    :func:`repro.experiments.common.run_matrix` loop, so tables built
+    :func:`repro.experiments.latency_matrix.run` loop, so tables built
     by zipping :meth:`points` against results reproduce the serial
     harness byte-for-byte.
     """

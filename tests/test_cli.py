@@ -79,6 +79,13 @@ def test_experiment_command_power(capsys):
     assert "iso-power ServerClass cores: 40" in out
 
 
+def test_fixed_scale_figure_runs_its_one_scale_under_quick(capsys):
+    main(["experiment", "power"])
+    full = capsys.readouterr().out
+    main(["experiment", "power", "--quick"])
+    assert capsys.readouterr().out == full
+
+
 def test_experiment_resume_is_only_for_all():
     with pytest.raises(SystemExit, match="only supported by all"):
         main(["experiment", "fig14", "--resume"])

@@ -314,6 +314,6 @@ def test_cli_dc_command_prints_routing_table(capsys):
 
 
 def test_figd_experiment_registered_in_run_all():
-    from repro.experiments import figD_datacenter, run_all
+    from repro.experiments import run_all
 
-    assert any(fn is figD_datacenter.main for __, fn in run_all.SECTIONS)
+    assert ("Figure D (datacenter)", ["figD_datacenter"]) in run_all.SECTIONS

@@ -196,14 +196,67 @@ def test_run_all_resume_skips_sections_done_with_an_empty_cache(
         tmp_path, monkeypatch, capsys):
     """A section that stores no result still leaves its done-marker, so
     ``--resume`` skips it (an empty cache must not read as no cache)."""
-    from repro.experiments import run_all
+    from repro.experiments import power_area, run_all
     from repro.runner import ResultCache, executing
 
     calls = []
-    monkeypatch.setattr(run_all, "SECTIONS",
-                        [("Tiny", lambda: calls.append(1))])
+    monkeypatch.setattr(run_all, "SECTIONS", [("Tiny", ["power_area"])])
+    monkeypatch.setattr(power_area, "main",
+                        lambda quick: calls.append(quick))
     with executing(cache=ResultCache(tmp_path)):
         run_all.main(quick=True)
         run_all.main(quick=True, resume=True)
-    assert calls == [1]
+    assert calls == [True]
     assert "[Tiny skipped: done in a previous run" in capsys.readouterr().out
+
+
+#: The section titles of ``repro experiment all``, in print order.
+RUN_ALL_TITLES = [
+    "Figure 1", "Figure 2", "Figure 3", "Figure 4", "Figure 5",
+    "Figure 6", "Figure 7", "Figure 8", "Figure 9", "Figures 14/16/17",
+    "Figure 15", "Figure 18", "Figure 19", "Figure 20", "Section 6.8",
+    "Power & area", "Figure S (policies)", "Figure D (datacenter)",
+    "Figure H (hybrid)", "Figure W (scenarios)",
+]
+
+
+def test_figure_table_drives_cli_choices_and_run_all_sections():
+    from repro.cli import build_parser
+    from repro.experiments import FIGURES, run_all
+
+    subcommands = next(a for a in build_parser()._actions
+                       if a.dest == "command").choices
+    id_arg = next(a for a in subcommands["experiment"]._actions
+                  if a.dest == "id")
+    assert list(id_arg.choices) == [f[0] for f in FIGURES] + ["all"]
+    assert [title for title, __ in run_all.SECTIONS] == RUN_ALL_TITLES
+    assert ("Figures 14/16/17", ["fig14_tail_latency", "fig16_avg_latency",
+                                 "fig17_tail_to_avg"]) in run_all.SECTIONS
+    assert not any("figF_faults" in modules
+                   for __, modules in run_all.SECTIONS)
+
+
+@pytest.mark.parametrize("quick", [False, True])
+def test_run_all_calls_every_figure_with_exactly_quick(monkeypatch, capsys,
+                                                        quick):
+    """``all`` is the composition of the figure entries: each section's
+    figures get ``quick`` as the one argument, nothing else."""
+    import importlib
+
+    from repro.experiments import run_all
+    from repro.runner import executing
+
+    calls = []
+    for __, modules in run_all.SECTIONS:
+        for name in modules:
+            module = importlib.import_module(f"repro.experiments.{name}")
+            monkeypatch.setattr(
+                module, "main",
+                lambda *args, _name=name, **kwargs:
+                    calls.append((_name, args, kwargs)))
+    with executing(cache=None):
+        run_all.main(quick=quick)
+    assert calls == [(name, (), {"quick": quick})
+                     for __, modules in run_all.SECTIONS
+                     for name in modules]
+    assert len(calls) == 22
