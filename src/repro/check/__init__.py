@@ -1,12 +1,13 @@
 """repro.check: opt-in invariant sanitizer for the whole simulation stack.
 
-The hook API mirrors the telemetry tracer's zero-overhead pattern: every
-engine carries a :data:`NULL_CHECK` whose hooks are no-ops, and
-instrumentation sites guard with ``if check.enabled:`` so disabled
-checking costs one attribute load + branch.  A live
-:class:`CheckContext` validates per-event invariants (clock
-monotonicity, RQ structure, resource bounds) and balances conservation
-ledgers at drain (requests, ICN messages, resource leaks, span trees).
+The off-switch mirrors the telemetry tracer's: every engine carries
+:data:`NULL_CHECK`, which is only an ``enabled = False`` flag with no
+hooks, and instrumentation sites guard with ``if check.enabled:`` so
+disabled checking costs one attribute load + branch.
+:class:`CheckContext` defines the hooks: it validates per-event
+invariants (clock monotonicity, RQ structure, resource bounds) and
+balances conservation ledgers at drain (requests, ICN messages,
+resource leaks, span trees).
 
 Entry points: pass ``check=CheckContext()`` to
 :class:`repro.systems.cluster.ClusterSimulation` / ``simulate``, use the

@@ -1,20 +1,19 @@
 """The invariant sanitizer: a race/leak-sanitizer analogue for the sim.
 
-Two implementations share one interface, mirroring the telemetry
-tracer's zero-overhead pattern:
+The off-switch mirrors the telemetry tracer's: every
+:class:`~repro.sim.engine.Engine` carries a
+:class:`~repro.check.null.NullCheckContext` (in its own module, so the
+kernel never loads this one) whose only member is ``enabled = False``.
+Instrumentation sites guard with ``if check.enabled:`` and pay one
+attribute load + branch when checking is off; the hooks are never
+called then.
 
-* :class:`~repro.check.null.NullCheckContext` — the default on every
-  :class:`~repro.sim.engine.Engine` (in its own module, so the kernel
-  never loads this one).  Every hook is a no-op and
-  ``enabled`` is False, so instrumentation sites guard with
-  ``if check.enabled:`` and pay one attribute load + branch when
-  checking is off.
-* :class:`CheckContext` — the live sanitizer.  Hooks validate local
-  invariants as events happen (clock monotonicity, RQ structure,
-  resource occupancy bounds) and feed conservation ledgers that
-  :meth:`CheckContext.finalize` balances at drain time (request
-  conservation per service and per queue, resource leaks, ICN message
-  conservation, span-tree well-formedness).
+:class:`CheckContext` is the live sanitizer and the one definition of
+the hook protocol.  Hooks validate local invariants as events happen
+(clock monotonicity, RQ structure, resource occupancy bounds) and feed
+conservation ledgers that :meth:`CheckContext.finalize` balances at
+drain time (request conservation per service and per queue, resource
+leaks, ICN message conservation, span-tree well-formedness).
 
 The sanitizer never mutates simulation state and draws no random
 numbers, so a checked run is byte-identical to an unchecked one —
@@ -25,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional
-
-from repro.check.null import NullCheckContext
 
 
 class CheckError(AssertionError):
@@ -99,8 +96,12 @@ class CheckStats:
                 "structural_scans": self.structural_scans}
 
 
-class CheckContext(NullCheckContext):
+class CheckContext:
     """The live sanitizer for one simulation run.
+
+    The public methods from :meth:`clock_advance` to :meth:`finalize`
+    are the hook protocol; instrumentation calls each one only behind an
+    ``if check.enabled:`` guard.
 
     Args:
         strict: When True (default) :meth:`raise_if_violations` is
@@ -174,6 +175,7 @@ class CheckContext(NullCheckContext):
     # --------------------------------------------------------------- engine
 
     def clock_advance(self, old_ns: float, new_ns: float) -> None:
+        """The engine clock is about to move from ``old_ns`` to ``new_ns``."""
         self.stats.checks += 1
         if new_ns < old_ns:
             self.violation(
@@ -276,6 +278,7 @@ class CheckContext(NullCheckContext):
                     time_ns=now)
 
     def rq_admit(self, rq, rec, soft: bool = False) -> None:
+        """An entry was admitted (slot or NIC-buffered soft entry)."""
         led = self._ledger(rq)
         led.admits += 1
         if soft:
@@ -284,6 +287,7 @@ class CheckContext(NullCheckContext):
         self._rq_cheap(rq, led)
 
     def rq_dequeue(self, rq, rec) -> None:
+        """A READY entry was atomically dequeued for execution."""
         from repro.core.request import RequestStatus
 
         led = self._ledger(rq)
@@ -299,9 +303,11 @@ class CheckContext(NullCheckContext):
         self._rq_cheap(rq, led)
 
     def rq_wakeup(self, rq, rec) -> None:
+        """A blocked entry went back to READY."""
         self._rq_cheap(rq, self._ledger(rq))
 
     def rq_complete(self, rq, rec, stale: bool = False) -> None:
+        """An entry finished (``stale`` = it predates the last purge)."""
         led = self._ledger(rq)
         if stale:
             led.stale_completes += 1
@@ -311,7 +317,8 @@ class CheckContext(NullCheckContext):
         self._rq_cheap(rq, led)
 
     def rq_purge(self, rq) -> None:
-        """Called *before* the wipe: count the live entries being lost."""
+        """The queue is about to be wiped (village failure): count the
+        live entries being lost."""
         from repro.core.request import RequestStatus
 
         led = self._ledger(rq)
@@ -326,6 +333,7 @@ class CheckContext(NullCheckContext):
     # -------------------------------------------------- scheduling policies
 
     def rq_steal(self, village, rec) -> None:
+        """``village`` stole a READY entry from a peer's queue."""
         self.stats.checks += 1
         self._steals_seen += 1
         from repro.core.request import RequestStatus
@@ -341,6 +349,7 @@ class CheckContext(NullCheckContext):
                 f"village", where=village.name, time_ns=village.engine.now)
 
     def core_bypass(self, village, rec) -> None:
+        """An arrival skipped the scheduler onto an idle core."""
         self.stats.checks += 1
         self._bypasses_seen += 1
         from repro.core.request import RequestStatus
@@ -358,6 +367,7 @@ class CheckContext(NullCheckContext):
     # ----------------------------------------------------------------- NICs
 
     def nic_dispatch(self, nic, service: str, village: int) -> None:
+        """The ServiceMap picked ``village`` for ``service``."""
         self.stats.checks += 1
         registered = nic._service_map.get(service, [])
         if village not in registered:
@@ -370,6 +380,7 @@ class CheckContext(NullCheckContext):
                 f"{village} marked down", where=nic.name)
 
     def nic_reject(self, nic) -> None:
+        """The top-level NIC overflow buffer rejected a request."""
         self.stats.checks += 1
         self._nic_rejects += 1
         if len(nic._buffer) > nic.buffer_capacity:
@@ -378,6 +389,7 @@ class CheckContext(NullCheckContext):
                 f"> capacity {nic.buffer_capacity}", where=nic.name)
 
     def nic_drop(self, nic) -> None:
+        """A failed village NIC blackholed a message."""
         self.stats.checks += 1
         if not nic.failed:
             self.violation(
@@ -393,14 +405,17 @@ class CheckContext(NullCheckContext):
         return led
 
     def icn_send(self, net) -> None:
+        """A routed message entered the ICN (multi-hop sends only)."""
         self.stats.checks += 1
         self._net(net).sends += 1
 
     def icn_deliver(self, net) -> None:
+        """A routed message reached its destination."""
         self.stats.checks += 1
         self._net(net).delivers += 1
 
     def icn_drop(self, net, in_flight: bool) -> None:
+        """A message blackholed (``in_flight`` = after entering the ICN)."""
         self.stats.checks += 1
         led = self._net(net)
         if in_flight:
@@ -411,9 +426,11 @@ class CheckContext(NullCheckContext):
     # ------------------------------------------------------------ resources
 
     def resource_register(self, res) -> None:
+        """A FIFO resource was created (for drain-time leak checks)."""
         self._resources.append(res)
 
     def resource_event(self, res) -> None:
+        """A resource started or finished a job."""
         self.stats.checks += 1
         if not 0 <= res.busy <= res.capacity:
             self.violation(
@@ -423,6 +440,7 @@ class CheckContext(NullCheckContext):
     # --------------------------------------------------------------- RPC
 
     def request_created(self, rec) -> None:
+        """A request record (root or child RPC) was created."""
         self.stats.checks += 1
         self._service(rec.service).created += 1
         if rec.depth < 0 or not rec.segments:
@@ -431,21 +449,26 @@ class CheckContext(NullCheckContext):
                 f"(depth={rec.depth}, {len(rec.segments)} segments)")
 
     def ext_rejected(self, rec) -> None:
+        """An external request was rejected (error response sent)."""
         self.stats.checks += 1
         self._service(rec.service).rejected += 1
 
     # ---------------------------------------------------------- root ledger
 
     def root_offered(self, n: int = 1) -> None:
+        """``n`` client arrivals were scheduled (bulk increment: the
+        arrival paths schedule whole vectorized batches at once)."""
         self._roots_offered += n
 
     def root_done(self, kind: str) -> None:
+        """A root request was answered (completed/rejected/failed)."""
         self.stats.checks += 1
         self._roots_done[kind] = self._roots_done.get(kind, 0) + 1
 
     # ------------------------------------------------------- datacenter tier
 
     def lb_route(self, lb, server_id: int, active: bool) -> None:
+        """The front-end LB routed one root request to ``server_id``."""
         self.stats.checks += 1
         self._lb_routed[server_id] = self._lb_routed.get(server_id, 0) + 1
         if not active:
@@ -458,6 +481,7 @@ class CheckContext(NullCheckContext):
                 where="lb")
 
     def lb_scale(self, lb, action: str, server_id: int) -> None:
+        """The autoscaler activated ("add") or drained a server."""
         self.stats.checks += 1
         self._lb_scales += 1
         if action not in ("add", "drain"):
@@ -471,24 +495,29 @@ class CheckContext(NullCheckContext):
     # ------------------------------------------------------ hybrid fast path
 
     def hybrid_commit(self, service: str) -> None:
+        """The controller committed ``service`` to analytic mode."""
         self.stats.checks += 1
         self._hybrid_commits += 1
 
     def hybrid_abort(self, reason: str) -> None:
+        """The controller aborted back to detailed simulation."""
         self.stats.checks += 1
         self._hybrid_aborts += 1
 
     def hybrid_elide_root(self) -> None:
+        """A root request completed analytically (no per-event sim)."""
         self.stats.checks += 1
         self._hybrid_roots_elided += 1
 
     def hybrid_elide_call(self, service: str) -> None:
+        """A downstream RPC was answered analytically."""
         self.stats.checks += 1
         self._hybrid_calls_elided += 1
 
     # --------------------------------------------------------------- faults
 
     def fault_applied(self, event, now_ns: float) -> None:
+        """The injector applied a fault event."""
         self.stats.checks += 1
         self._faults_applied += 1
         if now_ns != event.time_ns:
@@ -500,6 +529,7 @@ class CheckContext(NullCheckContext):
     # -------------------------------------------------------------- compute
 
     def compute_segment(self, village, rec, duration_ns: float) -> None:
+        """A compute segment was scheduled for ``duration_ns``."""
         self.stats.checks += 1
         if duration_ns < 0:
             self.violation(

@@ -104,10 +104,10 @@ class Trial:
 def _config(name: str):
     """Reduced-scale system config for one trial (construction cost of a
     full 1024-core server dwarfs a 2 ms simulation)."""
-    from repro.systems.configs import SCALEOUT, SERVERCLASS, UMANYCORE
+    from repro.systems.configs import SCALEOUT, SERVERCLASS, UMANYCORE_128
 
     if name == "umanycore":
-        return replace(UMANYCORE, n_cores=128, n_clusters=8)
+        return UMANYCORE_128
     if name == "scaleout":
         return replace(SCALEOUT, n_cores=128, n_clusters=4,
                        coherence_domain_cores=128)

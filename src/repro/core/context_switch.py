@@ -117,23 +117,6 @@ class SchedulerDomain:
         self._op_ns = config.scheduler_op_cycles / freq_ghz
         self._jitter_on = rng is not None and config.jitter_prob > 0
 
-    def _traced(self, done: Callable[[], None], op: str,
-                rec) -> Callable[[], None]:
-        """Wrap ``done`` in a ``context_switch`` span (queueing on a
-        centralized scheduler core included); identity when tracing is
-        off."""
-        tracer = self.engine.tracer
-        if not tracer.enabled:
-            return done
-        start = self.engine.now
-
-        def finish() -> None:
-            tracer.span("context_switch", op, start, self.engine.now,
-                        rec=rec, track=self.name or "sched")
-            done()
-
-        return finish
-
     def charge_save(self, done: Callable[[], None], rec=None) -> None:
         """Save process state on a block.
 
@@ -144,7 +127,9 @@ class SchedulerDomain:
         """
         self.switches += 1
         if self.engine.tracer.enabled:
-            done = self._traced(done, "save", rec)
+            done = self.engine.tracer.span_until_done(
+                self.engine, done, "context_switch", "save", rec=rec,
+                track=self.name or "sched")
         if self._sched_core is not None:
             self._sched_core.acquire(self._save_ns, done)
         else:
@@ -153,7 +138,9 @@ class SchedulerDomain:
     def charge_restore(self, done: Callable[[], None], rec=None) -> None:
         """Restore process state on resume (part of Dequeue / dispatch)."""
         if self.engine.tracer.enabled:
-            done = self._traced(done, "restore", rec)
+            done = self.engine.tracer.span_until_done(
+                self.engine, done, "context_switch", "restore", rec=rec,
+                track=self.name or "sched")
         if self._sched_core is not None:
             self._sched_core.acquire(self._restore_ns, done)
         else:
@@ -176,7 +163,9 @@ class SchedulerDomain:
             done()
             return
         if self.engine.tracer.enabled:
-            done = self._traced(done, "sched_op", rec)
+            done = self.engine.tracer.span_until_done(
+                self.engine, done, "context_switch", "sched_op", rec=rec,
+                track=self.name or "sched")
         if self._sched_core is not None:
             self._sched_core.acquire(op_ns, done)
         else:

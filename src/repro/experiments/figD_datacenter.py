@@ -34,11 +34,11 @@ from repro.experiments.figF_faults import QUICK_SETTINGS, RESILIENCE, \
 from repro.faults import FaultSchedule
 from repro.runner import run_points
 from repro.systems.cluster import RunResult
-from repro.systems.configs import UMANYCORE
+from repro.systems.configs import UMANYCORE_128
 from repro.workloads.deathstar import social_network_app
 
 #: Reduced-scale server (matches Figures F/S; saturates near ~90K RPS).
-BASE = replace(UMANYCORE, n_cores=128, n_clusters=8)
+BASE = UMANYCORE_128
 
 POLICIES = ("rr", "random", "p2c", "least", "affinity")
 #: The straggler comparison the extension exists for: load-blind vs

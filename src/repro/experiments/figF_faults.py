@@ -30,11 +30,11 @@ from repro.faults import FaultSchedule, ResilienceConfig
 from repro.icn import FatTree, HierarchicalLeafSpine, Mesh2D, Topology
 from repro.runner import run_points
 from repro.systems.cluster import ClusterSimulation, RunResult
-from repro.systems.configs import UMANYCORE
+from repro.systems.configs import UMANYCORE_128
 from repro.workloads.deathstar import social_network_app
 
 #: Reduced-scale server (the full 1024-core build takes minutes/point).
-BASE = replace(UMANYCORE, n_cores=128, n_clusters=8)
+BASE = UMANYCORE_128
 VARIANTS = (
     BASE,
     replace(BASE, name="uManycore-fattree", topology="fattree"),

@@ -24,19 +24,18 @@ the payoff — is largest.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Optional, Tuple
 
 from repro.experiments.common import PAPER_LOADS, format_table
 from repro.hybrid import HybridConfig
 from repro.runner import execution
 from repro.systems.cluster import ClusterSimulation
-from repro.systems.configs import UMANYCORE
+from repro.systems.configs import UMANYCORE_128
 from repro.workloads.deathstar import social_network_app
 
 #: Reduced-scale server (matches Figures D/F/S; saturates near ~20K
 #: RPS for the Text app on one server).
-BASE = replace(UMANYCORE, n_cores=128, n_clusters=8)
+BASE = UMANYCORE_128
 
 APP = "Text"
 

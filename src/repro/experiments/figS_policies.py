@@ -28,11 +28,11 @@ from repro.experiments.figF_faults import QUICK_SETTINGS, RESILIENCE, \
 from repro.faults import FaultSchedule
 from repro.runner import run_points
 from repro.systems.cluster import ClusterSimulation, RunResult
-from repro.systems.configs import SCALEOUT, UMANYCORE
+from repro.systems.configs import SCALEOUT, UMANYCORE_128
 from repro.workloads.deathstar import social_network_app
 
 #: Reduced-scale server (matches Figure F's build).
-BASE = replace(UMANYCORE, n_cores=128, n_clusters=8)
+BASE = UMANYCORE_128
 
 #: label -> SystemConfig field overrides, one table row group each.
 COMBOS: Tuple[Tuple[str, dict], ...] = (

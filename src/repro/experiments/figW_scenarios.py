@@ -24,19 +24,17 @@ experiment is where the arrival-profile layer earns its keep:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.dc import DcConfig
 from repro.experiments.common import QUICK, Settings, format_table
 from repro.hybrid import HybridConfig
 from repro.runner import execution, run_points
 from repro.systems.cluster import ClusterSimulation
-from repro.systems.configs import UMANYCORE
+from repro.systems.configs import UMANYCORE_128
 from repro.workloads.arrival import ARRIVAL_NAMES, FlashCrowdProfile
 from repro.workloads.deathstar import deathstar_app
 
 #: Reduced-scale server (matches Figures D/F/H/S).
-BASE = replace(UMANYCORE, n_cores=128, n_clusters=8)
+BASE = UMANYCORE_128
 
 #: One request type per DeathStarBench application.
 SCENARIO_APPS = ("Text", "MCompose", "HSearch")

@@ -476,15 +476,9 @@ class Network:
         self.hops_traversed += n_hops
 
         if engine.tracer.enabled:
-            inner = on_delivered
-            name = f"{src}->{dst}"
-            sent_at = engine.now
-
-            def on_delivered() -> None:
-                engine.tracer.span(
-                    "icn_hop", name, sent_at, engine.now, rec=rec,
-                    track="icn", hops=n_hops, bytes=size_bytes)
-                inner()
+            on_delivered = engine.tracer.span_until_done(
+                engine, on_delivered, "icn_hop", f"{src}->{dst}", rec=rec,
+                track="icn", hops=n_hops, bytes=size_bytes)
 
         if not self.config.contention:
             engine.schedule(hop_time * n_hops, self._deliver, engine.now,

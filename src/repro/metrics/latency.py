@@ -51,6 +51,17 @@ class LatencySummary:
         return cls(count=0, mean=0.0, p50=0.0, p99=0.0, p999=0.0,
                    maximum=0.0)
 
+    @classmethod
+    def of(cls, lats: np.ndarray) -> "LatencySummary":
+        """Summary of the samples in ``lats``; :meth:`empty` when none."""
+        if len(lats) == 0:
+            return cls.empty()
+        return cls(count=len(lats), mean=float(np.mean(lats)),
+                   p50=float(np.percentile(lats, 50)),
+                   p99=float(np.percentile(lats, 99)),
+                   p999=float(np.percentile(lats, 99.9)),
+                   maximum=float(np.max(lats)))
+
     def as_dict(self) -> dict:
         return {"count": self.count, "mean": self.mean, "p50": self.p50,
                 "p99": self.p99, "p999": self.p999, "max": self.maximum}
@@ -103,32 +114,14 @@ class LatencyRecorder:
         for i in range(n_windows):
             left, right = i * window_ns, min((i + 1) * window_ns,
                                              horizon_ns)
-            sel = lats[(times >= left) & (times < right)]
-            if len(sel) == 0:
-                out.append(LatencySummary.empty())
-                continue
-            out.append(LatencySummary(
-                count=len(sel), mean=float(np.mean(sel)),
-                p50=float(np.percentile(sel, 50)),
-                p99=float(np.percentile(sel, 99)),
-                p999=float(np.percentile(sel, 99.9)),
-                maximum=float(np.max(sel))))
+            out.append(LatencySummary.of(
+                lats[(times >= left) & (times < right)]))
         return out
 
     def summary(self, after_ns: float = 0.0) -> LatencySummary:
         """Summary of the post-cutoff samples; the
         :meth:`LatencySummary.empty` sentinel when there are none."""
-        lats = self.latencies(after_ns)
-        if len(lats) == 0:
-            return LatencySummary.empty()
-        return LatencySummary(
-            count=len(lats),
-            mean=float(np.mean(lats)),
-            p50=float(np.percentile(lats, 50)),
-            p99=float(np.percentile(lats, 99)),
-            p999=float(np.percentile(lats, 99.9)),
-            maximum=float(np.max(lats)),
-        )
+        return LatencySummary.of(self.latencies(after_ns))
 
 
 def pooled_summary(recorders, after_ns: float = 0.0) -> LatencySummary:
@@ -141,14 +134,5 @@ def pooled_summary(recorders, after_ns: float = 0.0) -> LatencySummary:
     statistically correct cluster aggregate.
     """
     pools = [r.latencies(after_ns) for r in recorders]
-    lats = np.concatenate(pools) if pools else np.asarray([])
-    if len(lats) == 0:
-        return LatencySummary.empty()
-    return LatencySummary(
-        count=len(lats),
-        mean=float(np.mean(lats)),
-        p50=float(np.percentile(lats, 50)),
-        p99=float(np.percentile(lats, 99)),
-        p999=float(np.percentile(lats, 99.9)),
-        maximum=float(np.max(lats)),
-    )
+    return LatencySummary.of(
+        np.concatenate(pools) if pools else np.asarray([]))

@@ -48,14 +48,9 @@ class InterServerFabric:
         self.messages += 1
         tracer = self.engine.tracer
         if tracer.enabled:
-            start = self.engine.now
-            inner = done
-
-            def done() -> None:
-                tracer.span("fabric", f"s{src_server}->s{dst_server}",
-                            start, self.engine.now, rec=rec, track="fabric",
-                            bytes=size_bytes)
-                inner()
+            done = tracer.span_until_done(
+                self.engine, done, "fabric", f"s{src_server}->s{dst_server}",
+                rec=rec, track="fabric", bytes=size_bytes)
 
         cfg = self.config
         serialize = size_bytes / cfg.bytes_per_ns

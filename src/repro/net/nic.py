@@ -56,22 +56,6 @@ class LNic:
     def recover(self) -> None:
         self.failed = False
 
-    def _traced(self, done: Callable[[], None],
-                rec) -> Callable[[], None]:
-        """Wrap ``done`` with a ``nic_dispatch`` span covering port
-        queueing + service; identity when tracing is off."""
-        tracer = self.engine.tracer
-        if not tracer.enabled:
-            return done
-        start = self.engine.now
-
-        def finish() -> None:
-            tracer.span("nic_dispatch", self.name or "nic", start,
-                        self.engine.now, rec=rec, track=self.name or "nic")
-            done()
-
-        return finish
-
     def process(self, size_bytes: int, done: Callable[[], None],
                 rec=None) -> None:
         """Pass one message through the NIC; ``done`` on completion."""
@@ -82,8 +66,12 @@ class LNic:
                 check.nic_drop(self)
             return
         self.messages += 1
-        if self.engine.tracer.enabled:
-            done = self._traced(done, rec)
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            # The span covers port queueing + service.
+            name = self.name or "nic"
+            done = tracer.span_until_done(self.engine, done, "nic_dispatch",
+                                          name, rec=rec, track=name)
         cfg = self.config
         service = (cfg.rpc_processing_ns + cfg.transport_overhead_ns
                    + size_bytes / cfg.bytes_per_ns)
@@ -207,14 +195,9 @@ class TopLevelNic:
         """NIC datapath cost for one external message."""
         tracer = self.engine.tracer
         if tracer.enabled:
-            start = self.engine.now
-            inner = done
-
-            def done() -> None:
-                tracer.span("nic_dispatch", self.name, start,
-                            self.engine.now, rec=rec, track=self.name)
-                inner()
-
+            done = tracer.span_until_done(self.engine, done, "nic_dispatch",
+                                          self.name, rec=rec,
+                                          track=self.name)
         cfg = self.config
         service = cfg.rpc_processing_ns + size_bytes / cfg.bytes_per_ns
         self._port.acquire(service, lambda: done())

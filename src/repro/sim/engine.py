@@ -102,11 +102,12 @@ class Engine:
         #: (maintained by :mod:`repro.hybrid`; 0 outside hybrid runs).
         self.events_elided: int = 0
         #: Telemetry hook shared by every component built on this engine.
-        #: Defaults to the no-op tracer; sites guard on ``tracer.enabled``
-        #: so disabled tracing costs one attribute load per hook.
+        #: Defaults to the flag-only null tracer; sites guard on
+        #: ``tracer.enabled`` so disabled tracing costs one attribute
+        #: load per hook.
         self.tracer = NULL_TRACER
         #: Invariant sanitizer hook (:mod:`repro.check`), same pattern:
-        #: the default no-op context keeps checking off the hot path.
+        #: the flag-only null context keeps checking off the hot path.
         self.check = NULL_CHECK
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
@@ -200,29 +201,11 @@ class Engine:
             return entry[0]
         return None
 
-    def step(self) -> bool:
-        """Run the next event.  Returns False when the queue is empty."""
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            time, __, fn, args = entry
-            if fn is None:
-                self._cancelled -= 1
-                continue
-            entry[2] = None             # fired: a later cancel is a no-op
-            if self.check.enabled:
-                self.check.clock_advance(self.now, time)
-            self.now = time
-            self.events_processed += 1
-            fn(*args)
-            return True
-        return False
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` ns, or ``max_events``.
 
-        The loop is deliberately inlined (no per-event ``peek_time`` +
-        ``step`` calls): this is the innermost interpreter loop of every
+        The loop is deliberately inlined (no per-event ``peek_time``
+        call): this is the innermost interpreter loop of every
         simulation, so each saved attribute load or function call counts.
         Semantics are pinned by tests/test_sim_engine.py: cancelled events
         are skipped without consuming the ``max_events`` budget, and a

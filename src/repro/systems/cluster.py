@@ -27,7 +27,7 @@ from repro.workloads.arrival import get_profile
 from repro.workloads.spec import AppSpec
 
 if TYPE_CHECKING:
-    from repro.check.null import NullCheckContext
+    from repro.check.context import CheckContext
     from repro.dc.autoscale import Autoscaler
     from repro.dc.config import DcConfig
     from repro.dc.lb import FrontEndLB
@@ -38,7 +38,7 @@ if TYPE_CHECKING:
     from repro.hybrid.config import HybridConfig
     from repro.hybrid.controller import HybridController
     from repro.telemetry.metrics import MetricsRegistry
-    from repro.telemetry.tracer import NullTracer
+    from repro.telemetry.tracer import Tracer
 
 
 @dataclass(frozen=True)
@@ -152,11 +152,11 @@ class ClusterSimulation:
                  warmup_fraction: float = 0.25,
                  fabric_config: Optional[FabricConfig] = None,
                  arrivals="poisson",
-                 tracer: Optional[NullTracer] = None,
+                 tracer: Optional[Tracer] = None,
                  metrics_interval_ns: Optional[float] = None,
                  faults: Optional[FaultSchedule] = None,
                  resilience: Optional[ResilienceConfig] = None,
-                 check: Optional[NullCheckContext] = None,
+                 check: Optional[CheckContext] = None,
                  dc: Optional[DcConfig] = None,
                  hybrid: Optional[HybridConfig] = None):
         if n_servers < 1:

@@ -173,6 +173,11 @@ SERVERCLASS_128 = replace(
     cores_per_village=128, cores_per_queue=128, n_clusters=128,
     coherence_domain_cores=128)
 
+#: uManycore cut to 128 cores in 8 clusters, for the figures and trials
+#: whose many short runs a 1024-core build would dominate.  Its tables
+#: still label it "uManycore".
+UMANYCORE_128 = replace(UMANYCORE, n_cores=128, n_clusters=8)
+
 
 def ablation_ladder() -> List[SystemConfig]:
     """Figure 15: apply the four uManycore techniques to ScaleOut in order.

@@ -1,14 +1,12 @@
 """Tracers: the hook API every simulated layer reports through.
 
-Two implementations share one interface:
-
 * :class:`NullTracer` — the default on every :class:`~repro.sim.engine.
-  Engine`.  All methods are no-ops and ``enabled`` is False, so
-  instrumentation sites guard with ``if tracer.enabled:`` and pay only
-  an attribute load + branch when tracing is off.
-* :class:`Tracer` — records spans and per-request metadata in memory
-  for export (:mod:`repro.telemetry.export`) and analysis
-  (:mod:`repro.telemetry.breakdown`).
+  Engine`.  It is only the ``enabled = False`` flag: instrumentation
+  sites guard with ``if tracer.enabled:`` and pay only an attribute
+  load + branch when tracing is off, so it is never called.
+* :class:`Tracer` — the hook API.  It records spans and per-request
+  metadata in memory for export (:mod:`repro.telemetry.export`) and
+  analysis (:mod:`repro.telemetry.breakdown`).
 
 Request identity is *trace-local*: the tracer assigns each request a
 dense index in ``begin_request`` order.  Global ``req_id`` counters
@@ -18,33 +16,19 @@ even inside one process (the determinism regression contract).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.telemetry.span import Span
 
 
 class NullTracer:
-    """Disabled tracer: every hook is a no-op.
-
-    Also serves as the interface definition — :class:`Tracer` overrides
-    every method.
-    """
+    """Disabled tracer: the flag every hook site checks, no hooks."""
 
     def __init__(self) -> None:
         #: An instance attribute, not a class one: CPython specializes
         #: the load of an instance attribute, and every hook site
         #: guards on this flag.
         self.enabled = False
-
-    def begin_request(self, rec, now: float, parent=None) -> None:
-        """A request (root or nested RPC) entered the system."""
-
-    def end_request(self, rec, now: float, rejected: bool = False) -> None:
-        """The request's response was delivered (or it was rejected)."""
-
-    def span(self, category: str, name: str, start_ns: float, end_ns: float,
-             rec=None, track: str = "", **attrs: Any) -> None:
-        """Record one completed interval of work."""
 
 
 #: Shared default instance; safe because NullTracer is stateless.
@@ -71,7 +55,7 @@ class _RequestInfo:
         self.rejected = False
 
 
-class Tracer(NullTracer):
+class Tracer:
     """Collects spans for one simulation run."""
 
     def __init__(self) -> None:
@@ -129,6 +113,24 @@ class Tracer(NullTracer):
             start_ns=start_ns, end_ns=end_ns, track=track,
             req_index=info.index if info else None,
             parent_id=info.span_id if info else None, attrs=attrs))
+
+    def span_until_done(self, clock, done: Callable[[], None],
+                        category: str, name: str, rec=None,
+                        track: str = "", **attrs: Any) -> Callable[[], None]:
+        """Wrap ``done`` so it first records a span from now until it runs.
+
+        The span starts at ``clock.now`` when this is called and ends at
+        ``clock.now`` when the returned callback fires; the callback
+        records the span and then calls ``done``.
+        """
+        start = clock.now
+
+        def finish() -> None:
+            self.span(category, name, start, clock.now, rec=rec,
+                      track=track, **attrs)
+            done()
+
+        return finish
 
     # ---------------------------------------------------------- queries
 

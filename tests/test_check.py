@@ -10,6 +10,7 @@ from repro.check import (
     CheckContext,
     CheckError,
     NULL_CHECK,
+    NullCheckContext,
     check_span_tree,
 )
 from repro.systems.cluster import simulate
@@ -30,9 +31,18 @@ def run(check=None, tracer=None, seed=1, **kw):
 # ---------------------------------------------------------------- unit level
 
 def test_null_check_is_disabled_and_inert():
-    assert not NULL_CHECK.enabled
-    NULL_CHECK.clock_advance(5.0, 1.0)          # no-op, never raises
-    assert NULL_CHECK.finalize() == []
+    # The flag is the only off-switch: every hook site guards on it, so
+    # the null sanitizer carries no hooks at all.
+    assert vars(NULL_CHECK) == {"enabled": False}
+    assert [n for n in vars(NullCheckContext) if not n.startswith("__")] \
+        == []
+    hooks = [n for n in vars(CheckContext)
+             if not n.startswith("_") and callable(vars(CheckContext)[n])]
+    assert {"clock_advance", "rq_admit", "root_offered",
+            "finalize"} <= set(hooks)
+    assert not any(hasattr(NULL_CHECK, n) for n in hooks)
+    # CheckContext is the one definition of the protocol: all documented.
+    assert all(getattr(CheckContext, n).__doc__ for n in hooks)
 
 
 def test_violation_collection_and_ok():

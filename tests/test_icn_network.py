@@ -613,7 +613,8 @@ def test_queue_gauge_matches_link_queues_between_events(checked):
     eng.schedule_at(1100.0, topo.recover_link, leaves[1], "vil1.0")
 
     samples = []
-    while eng.step():
+    while eng.peek_time() is not None:
+        eng.run(max_events=1)
         samples.append((net.queued_messages(), _queued_by_scan(net)))
     assert all(count == scan for count, scan in samples)
     assert max(count for count, __ in samples) > 20

@@ -61,14 +61,14 @@ def test_peek_time_empty_after_all_cancelled(eng):
     assert eng.peek_time() is None
 
 
-def test_step_skips_cancelled_and_advances_clock(eng):
+def test_one_event_run_skips_cancelled_and_advances_clock(eng):
     fired = []
     ev = eng.schedule(1.0, fired.append, "dead")
     eng.schedule(2.0, fired.append, "live")
     eng.cancel(ev)
-    assert eng.step() is True
+    eng.run(max_events=1)
     assert fired == ["live"] and eng.now == 2.0
-    assert eng.step() is False
+    assert eng.events_processed == 1 and eng.peek_time() is None
 
 
 def test_run_until_stops_clock_at_bound(eng):

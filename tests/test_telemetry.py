@@ -15,6 +15,7 @@ from repro.telemetry import (
     BREAKDOWN_CATEGORIES,
     MetricsRegistry,
     NULL_TRACER,
+    NullTracer,
     Span,
     Tracer,
     aggregate_breakdown,
@@ -38,11 +39,35 @@ def _rec(service="svc", segments=(100.0,)):
 # ------------------------------------------------------------------ tracer
 
 def test_null_tracer_is_disabled_noop():
-    assert NULL_TRACER.enabled is False
+    # The flag is the only off-switch: the null tracer carries no hooks.
+    assert vars(NULL_TRACER) == {"enabled": False}
+    assert [n for n in vars(NullTracer) if not n.startswith("__")] == []
+    for hook in ("begin_request", "end_request", "span",
+                 "span_until_done"):
+        assert callable(getattr(Tracer, hook))
+        assert not hasattr(NULL_TRACER, hook)
+
+
+def test_span_until_done_spans_wrap_to_call_then_runs_done():
+    eng, tr = Engine(), Tracer()
     rec = _rec()
-    NULL_TRACER.begin_request(rec, 0.0)
-    NULL_TRACER.span("compute", "x", 0.0, 1.0, rec=rec)
-    NULL_TRACER.end_request(rec, 1.0)     # all silently ignored
+    tr.begin_request(rec, 0.0)
+    calls = []
+    eng.schedule(5.0, lambda: None)
+    eng.run()
+    done = tr.span_until_done(eng, lambda: calls.append(len(tr.spans)),
+                              "icn_hop", "a->b", rec=rec, track="icn",
+                              hops=3, bytes=64)
+    assert tr.spans == [] and calls == []       # nothing until it fires
+    eng.schedule(7.0, done)
+    eng.run()
+    assert calls == [1]                         # once, after the span
+    (span,) = tr.spans
+    assert (span.category, span.name, span.track) == ("icn_hop", "a->b",
+                                                      "icn")
+    assert (span.start_ns, span.end_ns) == (5.0, 12.0)
+    assert list(span.attrs.items()) == [("hops", 3), ("bytes", 64)]
+    assert span.req_index == 0 and span.parent_id == 0
 
 
 def test_engine_defaults_to_null_tracer():
