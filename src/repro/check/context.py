@@ -91,10 +91,6 @@ class CheckStats:
     checks: int = 0
     structural_scans: int = 0
 
-    def as_dict(self) -> dict:
-        return {"checks": self.checks,
-                "structural_scans": self.structural_scans}
-
 
 class CheckContext:
     """The live sanitizer for one simulation run.

@@ -131,15 +131,6 @@ def _trial_config(trial: Trial):
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _app(name: str):
-    from repro.workloads.deathstar import DEATHSTAR_APPS
-    from repro.workloads.synthetic import synthetic_app
-
-    if name in DEATHSTAR_APPS:
-        return DEATHSTAR_APPS[name]
-    return synthetic_app(name)
-
-
 def run_trial(trial: Trial) -> CheckContext:
     """Execute one trial under a collecting sanitizer.
 
@@ -149,6 +140,7 @@ def run_trial(trial: Trial) -> CheckContext:
     """
     from repro.systems.cluster import ClusterSimulation
     from repro.telemetry import Tracer
+    from repro.workloads.deathstar import app_by_name
 
     arrivals = trial.arrivals
     if arrivals == "replay":
@@ -178,10 +170,10 @@ def run_trial(trial: Trial) -> CheckContext:
         hybrid = HybridConfig(tol=0.5, windows=3, min_samples=5,
                               window_ns=300_000.0, calibration_roots=10)
     sim = ClusterSimulation(
-        _trial_config(trial), _app(trial.app), rps_per_server=trial.rps,
-        n_servers=trial.n_servers, duration_s=trial.duration_s,
-        seed=trial.seed, arrivals=arrivals, tracer=tracer,
-        check=check, dc=dc, hybrid=hybrid)
+        _trial_config(trial), app_by_name(trial.app),
+        rps_per_server=trial.rps, n_servers=trial.n_servers,
+        duration_s=trial.duration_s, seed=trial.seed, arrivals=arrivals,
+        tracer=tracer, check=check, dc=dc, hybrid=hybrid)
     if trial.fault_rate > 0:
         from repro.faults import FaultSchedule, fault_inventory
 

@@ -4,9 +4,10 @@ Examples::
 
     python -m repro simulate --system umanycore --app Text --rps 15000
     python -m repro simulate --system umanycore --json
+    python -m repro simulate --system umanycore --fail-village 3
+    python -m repro simulate --system umanycore --servers 4 --lb least
     python -m repro trace --system umanycore --app Text --rps 15000 \
         --out trace.json
-    python -m repro faults --system umanycore --fail-village 3
     python -m repro sweep --systems umanycore,scaleout --apps Text \
         --loads 5000,10000,15000 --jobs 4
     python -m repro experiment fig14
@@ -15,7 +16,9 @@ Examples::
     python -m repro validate --trials 25 --seed 0
     python -m repro list
 
-See docs/CLI.md for the full reference of every subcommand.
+``simulate``, ``trace`` and ``profile`` take one run description; their
+summary grows a section for each opt-in layer the run switched on
+(faults, hybrid, dc).  See docs/CLI.md for the full reference.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from repro.experiments import FIGURES
 from repro.systems.configs import SCALEOUT, SERVERCLASS, SERVERCLASS_128, \
     UMANYCORE
 from repro.workloads.arrival import ARRIVAL_NAMES
-from repro.workloads.deathstar import DEATHSTAR_APPS
-from repro.workloads.synthetic import SYNTHETIC_DISTRIBUTIONS, synthetic_app
+from repro.workloads.deathstar import DEATHSTAR_APPS, app_by_name
+from repro.workloads.synthetic import SYNTHETIC_DISTRIBUTIONS
 
 SYSTEMS = {
     "umanycore": UMANYCORE,
@@ -44,25 +47,28 @@ EXPERIMENTS = [fig_id for fig_id, __, __title in FIGURES] + ["all"]
 
 
 def _resolve_app(name: str):
-    if name in DEATHSTAR_APPS:
-        return DEATHSTAR_APPS[name]
-    if name in SYNTHETIC_DISTRIBUTIONS:
-        return synthetic_app(name)
-    raise SystemExit(f"unknown app {name!r}; pick one of "
-                     f"{sorted(DEATHSTAR_APPS)} or "
-                     f"{list(SYNTHETIC_DISTRIBUTIONS)}")
+    try:
+        return app_by_name(name)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
+def _resolve_system(name: str):
+    if name not in SYSTEMS:
+        raise SystemExit(f"unknown system {name!r}; pick one of "
+                         f"{sorted(SYSTEMS)}")
+    return SYSTEMS[name]
 
 
 def _resolve_arrivals(args):
     """Arrival process from the flags: ``--trace-in`` (a CSV/JSON path,
     or ``sample`` for the bundled Alibaba-marginal trace) wins over the
     named ``--arrivals`` profile."""
-    trace_in = getattr(args, "trace_in", None)
-    if trace_in:
+    if args.trace_in:
         from repro.workloads.replay import resolve_trace
 
         try:
-            return resolve_trace(trace_in)
+            return resolve_trace(args.trace_in)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"--trace-in: {exc}")
     return args.arrivals
@@ -122,23 +128,19 @@ def _fault_setup(args, sim):
 def _dc_setup(args):
     """Translate the dc CLI flags into a DcConfig (None = dc tier off).
 
-    The tier only switches on when at least one dc flag was given (or
-    the command forces it via ``dc_default``), so plain runs keep the
-    classic per-server arrival path byte-for-byte.
+    The tier only switches on when ``--lb``, ``--placement`` or
+    ``--autoscale`` was given, so plain runs keep the classic
+    per-server arrival path byte-for-byte.
     """
-    lb = getattr(args, "lb", None)
-    placement = getattr(args, "placement", None)
-    autoscale = getattr(args, "autoscale", False)
-    if lb is None and placement is None and not autoscale \
-            and not getattr(args, "dc_default", False):
+    if args.lb is None and args.placement is None and not args.autoscale:
         return None
     from repro.dc import DcConfig
 
-    return DcConfig(lb=lb or "rr",
-                    lb_latency_ns=getattr(args, "lb_latency_us", 0.0) * 1e3,
-                    replication=placement or 0,
-                    autoscale=autoscale,
-                    min_servers=getattr(args, "min_servers", 1))
+    return DcConfig(lb=args.lb or "rr",
+                    lb_latency_ns=args.lb_latency_us * 1e3,
+                    replication=args.placement or 0,
+                    autoscale=args.autoscale,
+                    min_servers=args.min_servers)
 
 
 def _hybrid_setup(args):
@@ -147,7 +149,7 @@ def _hybrid_setup(args):
     The fast path only arms when ``--hybrid`` was given, so plain runs
     keep the fully detailed event path byte-for-byte.
     """
-    if not getattr(args, "hybrid", False):
+    if not args.hybrid:
         return None
     from repro.hybrid import HybridConfig
 
@@ -161,13 +163,13 @@ def _policy_overrides(args) -> dict:
     them uses the configs untouched (byte-identical to before the
     policy layer existed)."""
     kw = {}
-    if getattr(args, "dispatch", None) is not None:
+    if args.dispatch is not None:
         kw["dispatch"] = args.dispatch
-    if getattr(args, "rq_policy", None) is not None:
+    if args.rq_policy is not None:
         kw["rq_policy"] = args.rq_policy
-    if getattr(args, "steal", None) is not None:
+    if args.steal is not None:
         kw["steal"] = args.steal
-    if getattr(args, "core_bypass", False):
+    if args.core_bypass:
         kw["core_bypass"] = True
     return kw
 
@@ -194,7 +196,7 @@ def _run_simulation(args, tracer=None, metrics_interval_ns=None):
         config = replace(config, **overrides)
     app = _resolve_app(args.app)
     check = None
-    if getattr(args, "check", False):
+    if args.check:
         from repro.check import CheckContext
 
         check = CheckContext(strict=True)
@@ -208,7 +210,7 @@ def _run_simulation(args, tracer=None, metrics_interval_ns=None):
     schedule, resilience = _fault_setup(args, sim)
     if schedule or resilience is not None:
         sim.install_faults(schedule, resilience)
-        if getattr(args, "describe_faults", False) and not args.json:
+        if schedule and not args.json:
             print(schedule.describe())
     result = sim.run()
     if check is not None:
@@ -242,6 +244,12 @@ def _print_summary(result, json_mode: bool) -> None:
               f"{int(fs['blackholed'])} blackholed, "
               f"{int(fs['icn_dropped'])}/{int(fs['nic_dropped'])} "
               f"icn/nic drops")
+        inj = fs["injected"]
+        if inj:
+            kinds = ", ".join(f"{k}={v}"
+                              for k, v in sorted(inj["by_kind"].items()))
+            print(f"injected   : {inj['injected']}/{inj['scheduled']} events"
+                  + (f" ({kinds})" if kinds else ""))
     if "hybrid" in stats:
         hs = stats["hybrid"]
         committed = ", ".join(hs["services_committed"]) or "-"
@@ -262,6 +270,24 @@ def _print_summary(result, json_mode: bool) -> None:
               f"{dcs['proxied']} proxied RPCs{extra}")
         print(f"pooled p99 : {dcs['pooled']['p99'] / 1e3:.1f} us over "
               f"{dcs['pooled']['count']} pooled samples")
+        from repro.experiments.common import format_table
+
+        rows = [[e["server"], e["routed"], e["answered"], e["completed"]]
+                + [f"{e[k] / 1e3:.1f}" if k in e else "-"
+                   for k in ("p50_ns", "p99_ns")]
+                for e in dcs["per_server"]]
+        print("\nper-server routing (lb=" + dcs["lb"]
+              + (f", replication={dcs['replication']}"
+                 if dcs["replication"] else "") + "):")
+        print(format_table(
+            ["server", "routed", "answered", "completed", "p50 us",
+             "p99 us"], rows))
+        if dcs.get("spills") is not None:
+            print(f"affinity spills: {dcs['spills']}")
+        for ev in dcs.get("scale_events", []):
+            print(f"  t={ev['time_ns'] / 1e6:7.2f} ms  {ev['action']:5s} "
+                  f"server {ev['server']} (mean util "
+                  f"{ev['mean_util']:.2f})")
     bd = result.breakdown()
     if bd is not None:
         from repro.telemetry import format_breakdown
@@ -271,23 +297,16 @@ def _print_summary(result, json_mode: bool) -> None:
 
 def cmd_simulate(args) -> None:
     """Run one cluster simulation and print its summary."""
-    tracer = None
-    if args.trace_out:
-        from repro.telemetry import Tracer
-
-        tracer = Tracer()
-    result = _run_simulation(args, tracer=tracer)
-    if args.trace_out:
-        from repro.telemetry import write_chrome_trace
-
-        n_events = write_chrome_trace(tracer, args.trace_out)
-        if not args.json:
-            print(f"trace      : {args.trace_out} ({n_events} spans)")
-    _print_summary(result, args.json)
+    _print_summary(_run_simulation(args), args.json)
 
 
 def cmd_trace(args) -> None:
     """One traced run: Chrome trace export + span-derived breakdown."""
+    if args.autoscale and args.metrics_interval_us > 0:
+        # The autoscaler tick and the gauge sampler each re-arm while
+        # the other is pending, so the event queue never drains.
+        raise SystemExit("trace: --autoscale never finishes while gauges "
+                         "are sampled; add --metrics-interval-us 0")
     from repro.telemetry import Tracer, write_chrome_trace, write_spans_csv
 
     tracer = Tracer()
@@ -337,61 +356,6 @@ def cmd_profile(args) -> None:
     _print_summary(result, args.json)
 
 
-def cmd_faults(args) -> None:
-    """Fault-injection run + resilience report.
-
-    With no explicit targets this draws a random schedule over the whole
-    component inventory at ``--fault-rate`` failures/s.
-    """
-    result = _run_simulation(args)
-    _print_summary(result, args.json)
-    if args.json or "faults" not in result.stats:
-        return
-    inj = result.stats["faults"].get("injected")
-    if inj:
-        kinds = ", ".join(f"{k}={v}"
-                          for k, v in sorted(inj["by_kind"].items()))
-        print(f"injected   : {inj['injected']}/{inj['scheduled']} events"
-              + (f" ({kinds})" if kinds else ""))
-
-
-def cmd_dc(args) -> None:
-    """Datacenter-tier run: front-end LB + placement + autoscaling.
-
-    Always runs with the dc tier on (``--lb`` defaults to rr) and
-    reports the per-server routing/latency table, cross-server RPC
-    proxying, and any autoscale events.
-    """
-    from repro.experiments.common import format_table
-
-    args.dc_default = True
-    result = _run_simulation(args)
-    _print_summary(result, args.json)
-    if args.json:
-        return
-    dcs = result.stats["dc"]
-    rows = []
-    for entry in dcs["per_server"]:
-        rows.append([
-            entry["server"], entry["routed"], entry["answered"],
-            entry["completed"],
-            f"{entry['p50_ns'] / 1e3:.1f}" if "p50_ns" in entry else "-",
-            f"{entry['p99_ns'] / 1e3:.1f}" if "p99_ns" in entry else "-",
-        ])
-    print("\nper-server routing (lb=" + dcs["lb"]
-          + (f", replication={dcs['replication']}" if dcs["replication"]
-             else "") + "):")
-    print(format_table(
-        ["server", "routed", "answered", "completed", "p50 us", "p99 us"],
-        rows))
-    if dcs.get("spills") is not None:
-        print(f"affinity spills: {dcs['spills']}")
-    for ev in dcs.get("scale_events", []):
-        print(f"  t={ev['time_ns'] / 1e6:7.2f} ms  {ev['action']:5s} "
-              f"server {ev['server']} (mean util "
-              f"{ev['mean_util']:.2f})")
-
-
 def cmd_sweep(args) -> None:
     """Run a custom (systems x apps x loads x seeds) grid.
 
@@ -401,16 +365,21 @@ def cmd_sweep(args) -> None:
     stdout stays a clean table (or JSON with ``--json``).
     """
     from repro.experiments.common import format_table
-    from repro.runner import SweepSpec, run_points
+    from repro.runner import SweepPoint, run_points
 
-    spec = SweepSpec(
-        configs=tuple(SYSTEMS[s.strip()] for s in args.systems.split(",")),
-        apps=tuple(_resolve_app(a.strip()) for a in args.apps.split(",")),
-        loads=tuple(float(x) for x in args.loads.split(",")),
-        seeds=tuple(int(x) for x in args.seeds.split(",")),
-        n_servers=args.servers, duration_s=args.duration,
-        arrivals=_resolve_arrivals(args), dc=_dc_setup(args))
-    points = spec.points()
+    configs = [_resolve_system(name.strip())
+               for name in args.systems.split(",")]
+    apps = [_resolve_app(name.strip()) for name in args.apps.split(",")]
+    loads = [float(x) for x in args.loads.split(",")]
+    seeds = [int(x) for x in args.seeds.split(",")]
+    arrivals, dc = _resolve_arrivals(args), _dc_setup(args)
+    # Seed-, load-, app-, then config-major: the classic serial
+    # harness's loop order, which the printed table follows.
+    points = [SweepPoint(config=config, app=app, rps=rps,
+                         n_servers=args.servers, duration_s=args.duration,
+                         seed=seed, arrivals=arrivals, dc=dc)
+              for seed in seeds for rps in loads for app in apps
+              for config in configs]
     width = len(str(len(points)))
 
     def progress(event: dict) -> None:
@@ -542,14 +511,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="uManycore reproduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_args(p) -> None:
-        p.add_argument("--system", choices=sorted(SYSTEMS), required=True)
-        p.add_argument("--app", default="Text")
-        p.add_argument("--rps", type=float, default=15_000)
+    def add_point_args(p) -> None:
+        """Cluster size, horizon, arrivals and output format: shared by
+        the run commands and ``sweep``."""
         p.add_argument("--servers", type=int, default=2)
         p.add_argument("--duration", type=float, default=0.03,
-                       help="simulated seconds")
-        p.add_argument("--seed", type=int, default=1)
+                       help="simulated seconds (per point on sweep)")
         p.add_argument("--arrivals", choices=ARRIVAL_NAMES,
                        default="poisson",
                        help="arrival process (rate profile; default "
@@ -560,10 +527,20 @@ def build_parser() -> argparse.ArgumentParser:
                             "('sample' = the bundled Alibaba-marginal "
                             "trace); overrides --arrivals")
         p.add_argument("--json", action="store_true",
-                       help="print the run summary as JSON")
+                       help="print the results as JSON")
+
+    def add_exec_args(p) -> None:
+        """How sweep points execute: shared by ``sweep`` and
+        ``experiment``."""
+        p.add_argument("--jobs", type=int, default=1, metavar="N",
+                       help="worker processes (default 1; results are "
+                            "identical for any N)")
+        p.add_argument("--no-cache", action="store_true",
+                       help="skip the on-disk result cache")
         p.add_argument("--check", action="store_true",
-                       help="run under the invariant sanitizer "
-                            "(repro.check); any violation aborts the run")
+                       help="run every simulation point under the "
+                            "invariant sanitizer (implies --no-cache; "
+                            "violations abort)")
 
     def add_policy_args(p) -> None:
         from repro.sched import DISPATCH_NAMES, POLICY_NAMES, STEAL_NAMES
@@ -622,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "converges, i.e. byte-identical to "
                             "detailed; default 0.2)")
 
-    def add_fault_args(p, default_rate: float = 0.0) -> None:
+    def add_fault_args(p) -> None:
         g = p.add_argument_group(
             "faults", "deterministic fault injection (repro.faults); any "
                       "of these arms the timeout/retry resilience layer")
@@ -646,10 +623,10 @@ def build_parser() -> argparse.ArgumentParser:
         g.add_argument("--fault-server", type=int, default=-1,
                        metavar="S",
                        help="server the explicit faults hit (-1 = all)")
-        g.add_argument("--fault-rate", type=float, default=default_rate,
+        g.add_argument("--fault-rate", type=float, default=0.0,
                        help="also draw a random schedule at this many "
                             "failures/s over the whole inventory "
-                            f"(0 disables; default {default_rate:g})")
+                            "(default 0: none)")
         g.add_argument("--detection-us", type=float, default=100.0,
                        help="ServiceMap health-check detection lag")
         g.add_argument("--timeout-us", type=float, default=None,
@@ -660,24 +637,31 @@ def build_parser() -> argparse.ArgumentParser:
                        help="send a hedged duplicate RPC after this "
                             "delay (0 disables hedging)")
 
-    sim = sub.add_parser("simulate", help="run one cluster simulation")
+    def add_run_args(p) -> None:
+        """The one run description of ``simulate``, ``trace`` and
+        ``profile``."""
+        p.add_argument("--system", choices=sorted(SYSTEMS), required=True)
+        p.add_argument("--app", default="Text")
+        p.add_argument("--rps", type=float, default=15_000)
+        p.add_argument("--seed", type=int, default=1)
+        add_point_args(p)
+        p.add_argument("--check", action="store_true",
+                       help="run under the invariant sanitizer "
+                            "(repro.check); any violation aborts the run")
+        add_policy_args(p)
+        add_dc_args(p)
+        add_hybrid_args(p)
+        add_fault_args(p)
+
+    sim = sub.add_parser(
+        "simulate", help="run one cluster simulation; the summary reports "
+                         "every opt-in layer the flags switch on")
     add_run_args(sim)
-    add_policy_args(sim)
-    add_dc_args(sim)
-    add_hybrid_args(sim)
-    add_fault_args(sim)
-    sim.add_argument("--trace-out", metavar="FILE", default=None,
-                     help="also trace the run and write a Chrome "
-                          "trace-event file")
     sim.set_defaults(func=cmd_simulate)
 
     tr = sub.add_parser(
         "trace", help="run one traced simulation and export the spans")
     add_run_args(tr)
-    add_policy_args(tr)
-    add_dc_args(tr)
-    add_hybrid_args(tr)
-    add_fault_args(tr)
     tr.add_argument("--out", required=True, metavar="FILE",
                     help="Chrome trace-event JSON output path "
                          "(Perfetto / chrome://tracing)")
@@ -685,17 +669,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also dump the flat span table as CSV")
     tr.add_argument("--metrics-interval-us", type=float, default=10.0,
                     help="gauge sampling period in simulated us "
-                         "(0 disables sampling)")
+                         "(0 disables sampling; --autoscale needs 0)")
     tr.set_defaults(func=cmd_trace)
 
     prf = sub.add_parser(
         "profile",
         help="profile one simulation under cProfile (hot-function table)")
     add_run_args(prf)
-    add_policy_args(prf)
-    add_dc_args(prf)
-    add_hybrid_args(prf)
-    add_fault_args(prf)
     prf.add_argument("--top", type=int, default=25, metavar="N",
                      help="rows of the hot-function table (default 25)")
     prf.add_argument("--sort", choices=("tottime", "cumtime", "calls"),
@@ -707,19 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "analysis (python -m pstats FILE)")
     prf.set_defaults(func=cmd_profile)
 
-    flt = sub.add_parser(
-        "faults", help="run a fault-injection experiment and report "
-                       "availability, goodput and resilience counters")
-    add_run_args(flt)
-    add_policy_args(flt)
-    add_dc_args(flt)
-    add_hybrid_args(flt)
-    add_fault_args(flt, default_rate=200.0)
-    flt.add_argument("--quiet-schedule", dest="describe_faults",
-                     action="store_false", default=True,
-                     help="suppress the fault-schedule listing")
-    flt.set_defaults(func=cmd_faults)
-
     swp = sub.add_parser(
         "sweep", help="run a custom simulation grid, in parallel and "
                       "cached (repro.runner)")
@@ -727,62 +694,24 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated system list "
                           f"(from {', '.join(sorted(SYSTEMS))})")
     swp.add_argument("--apps", default="Text",
-                     help="comma-separated app list (SocialNetwork "
+                     help="comma-separated app list (DeathStarBench "
                           "request types or synthetic distributions)")
     swp.add_argument("--loads", default="5000,10000,15000",
                      help="comma-separated RPS-per-server levels")
     swp.add_argument("--seeds", default="1",
                      help="comma-separated seeds (one run per seed)")
-    swp.add_argument("--servers", type=int, default=2)
-    swp.add_argument("--duration", type=float, default=0.03,
-                     help="simulated seconds per point")
-    swp.add_argument("--arrivals", choices=ARRIVAL_NAMES,
-                     default="poisson",
-                     help="arrival process (rate profile; default "
-                          "poisson)")
-    swp.add_argument("--trace-in", dest="trace_in", metavar="FILE",
-                     default=None,
-                     help="replay arrivals from a CSV/JSON trace "
-                          "('sample' = the bundled Alibaba-marginal "
-                          "trace); overrides --arrivals")
-    swp.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="worker processes (default 1; results are "
-                          "identical for any N)")
-    swp.add_argument("--no-cache", action="store_true",
-                     help="skip the on-disk result cache")
-    swp.add_argument("--check", action="store_true",
-                     help="run every point under the invariant sanitizer "
-                          "(implies --no-cache; violations abort)")
-    swp.add_argument("--json", action="store_true",
-                     help="print the results as a JSON array")
+    add_point_args(swp)
+    add_exec_args(swp)
     add_policy_args(swp)
     add_dc_args(swp)
     add_hybrid_args(swp)
     swp.set_defaults(func=cmd_sweep)
 
-    dcp = sub.add_parser(
-        "dc", help="datacenter-tier run: front-end LB, service "
-                   "placement and autoscaling over the cluster "
-                   "(repro.dc)")
-    add_run_args(dcp)
-    add_policy_args(dcp)
-    add_dc_args(dcp)
-    add_hybrid_args(dcp)
-    add_fault_args(dcp)
-    dcp.set_defaults(func=cmd_dc)
-
     exp = sub.add_parser(
         "experiment",
         help="regenerate a paper figure table ('all' runs every one)")
     exp.add_argument("id", choices=EXPERIMENTS)
-    exp.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="worker processes for the figure's sweeps "
-                          "(default 1; tables are identical for any N)")
-    exp.add_argument("--no-cache", action="store_true",
-                     help="skip the on-disk result cache")
-    exp.add_argument("--check", action="store_true",
-                     help="run every simulation point under the "
-                          "invariant sanitizer (implies --no-cache)")
+    add_exec_args(exp)
     exp.add_argument("--quick", action="store_true",
                      help="reduced scales — smoke-test the figure "
                           "(fixed-scale figures run their one scale)")

@@ -17,8 +17,9 @@ import numpy as np
 from repro.cpu.cache import SetAssociativeCache
 from repro.cpu.core_model import SERVERCLASS_CORE, CoreModel, SegmentProfile
 from repro.cpu.microarch.branch import measure_accuracy
-from repro.cpu.microarch.iprefetch import run_instruction_prefetch
-from repro.cpu.microarch.prefetch import run_data_prefetch
+from repro.cpu.microarch.iprefetch import NoIPrefetcher, \
+    run_instruction_prefetch
+from repro.cpu.microarch.prefetch import NoPrefetcher, run_data_prefetch
 from repro.cpu.microarch.replacement import RipplePolicy, profile_transient_lines
 from repro.cpu.traces import TraceProfile, branch_trace, data_address_trace, \
     instruction_address_trace
@@ -88,7 +89,7 @@ def evaluate_data_prefetcher(profile: TraceProfile, prefetcher_factory,
         run_data_prefetch(cache, prefetcher, addrs)
         return cache.stats.mpki(int(instructions))
 
-    base_mpki = llc_mpki(_NO_PREFETCH)
+    base_mpki = llc_mpki(NoPrefetcher())
     opt_mpki = llc_mpki(prefetcher_factory())
     # LLC misses pay the memory latency; CPI memory term varies with them.
     mlp = core.memory_level_parallelism()
@@ -132,7 +133,7 @@ def evaluate_instruction_prefetcher(profile: TraceProfile, prefetcher_factory,
         run_instruction_prefetch(cache, prefetcher, addrs)
         return cache.stats.mpki(int(n_accesses * INSTR_PER_IFETCH))
 
-    return _frontend_result(profile, imiss_mpki(_NO_IPREFETCH),
+    return _frontend_result(profile, imiss_mpki(NoIPrefetcher()),
                             imiss_mpki(prefetcher_factory()))
 
 
@@ -170,18 +171,6 @@ def _frontend_result(profile: TraceProfile, base_mpki: float,
         return fixed + mpki / 1000.0 * L2_LATENCY  # front-end stall per I-miss
 
     return OptimizationResult(profile.name, profile.kind, cpi(base_mpki), cpi(opt_mpki))
-
-
-class _NoPrefetchSingleton:
-    def observe(self, line_addr: int, hit: bool):
-        return []
-
-    def credit(self, line_addr: int) -> None:
-        pass
-
-
-_NO_PREFETCH = _NoPrefetchSingleton()
-_NO_IPREFETCH = _NoPrefetchSingleton()
 
 
 def geometric_mean_speedup(results) -> float:

@@ -66,9 +66,3 @@ class PlacementPlan:
     def is_local(self, server_id: int, service: str) -> bool:
         """Whether ``service`` has a replica on ``server_id``."""
         return service in self._hosted[server_id]
-
-    def describe(self) -> str:
-        """One line per service: its hosting server list."""
-        return "\n".join(
-            f"  {name:12s} -> servers {list(sids)}"
-            for name, sids in sorted(self._servers_for.items()))

@@ -1,7 +1,6 @@
 """Run every experiment and print all paper-figure tables.
 
-``python -m repro.experiments.run_all [flags]`` is an alias of
-``python -m repro experiment all [flags]`` and takes the same flags
+``python -m repro experiment all [flags]`` runs this harness
 (docs/CLI.md): ``--quick`` uses reduced scales (useful for
 smoke-testing the harness); the default takes tens of minutes and
 produces the numbers recorded in EXPERIMENTS.md.  ``--jobs N`` fans the
@@ -74,11 +73,3 @@ def main(quick: bool = False, resume: bool = False) -> None:
         s = cache.stats()
         print(f"cache: {s['hits']} hits, {s['misses']} misses "
               f"({s['dir']})")
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.cli import main as cli_main
-
-    cli_main(["experiment", "all", *sys.argv[1:]])

@@ -44,14 +44,6 @@ class EmpiricalDist:
     def mean(self) -> float:
         return float(self._sorted.mean())
 
-    @property
-    def cv(self) -> float:
-        """Coefficient of variation of the calibration sample."""
-        m = self.mean
-        if m <= 0:
-            return 0.0
-        return float(self._sorted.std() / m)
-
     def quantile(self, q: float) -> float:
         return float(np.quantile(self._sorted, q))
 

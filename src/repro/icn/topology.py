@@ -176,10 +176,6 @@ class Topology:
         return (u, v) in self._capacity and (u, v) not in self._failed_links
 
     @property
-    def failed_links(self) -> Set[Tuple[str, str]]:
-        return set(self._failed_links)
-
-    @property
     def has_failures(self) -> bool:
         return bool(self._failed_links)
 

@@ -4,7 +4,7 @@ Every paper figure is a grid of *independent* cluster simulations —
 (system x workload x load x seed) points whose results feed one table.
 This package is the execution layer for those grids:
 
-* :class:`SweepPoint` / :class:`SweepSpec` describe the work by value;
+* :class:`SweepPoint` describes one unit of work by value;
 * :class:`ResultCache` content-addresses results on disk (config +
   workload + fault schedule + seed + code version), making re-runs and
   resumed sweeps near-instant;
@@ -35,14 +35,13 @@ from repro.runner.context import (
     run_points,
 )
 from repro.runner.fingerprint import code_version, digest, fingerprint
-from repro.runner.point import SweepPoint, SweepSpec
+from repro.runner.point import SweepPoint
 
 __all__ = [
     "CACHE_DIR_ENV",
     "ExecutionContext",
     "ResultCache",
     "SweepPoint",
-    "SweepSpec",
     "clear_memo",
     "code_version",
     "default_cache_dir",

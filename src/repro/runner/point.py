@@ -1,17 +1,16 @@
-"""Sweep descriptions: one simulation point and grids of them.
+"""Sweep descriptions: one simulation point.
 
 A :class:`SweepPoint` is the unit of work of the execution layer: one
 independent cluster simulation, fully described by value (everything it
-carries pickles cleanly into a spawn-started worker).  A
-:class:`SweepSpec` expands a (systems x apps x loads x seeds) grid into
-an ordered point list; the order is part of the contract — result
-tables built from a spec are identical however the points are executed.
+carries pickles cleanly into a spawn-started worker).  A grid is a list
+of points; result tables built from it are identical however the points
+are executed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.runner.fingerprint import code_version, digest, fingerprint
 from repro.systems.configs import SystemConfig
@@ -102,57 +101,3 @@ class SweepPoint:
                         arrivals=self.arrivals, faults=self.faults,
                         resilience=self.resilience, check=checker,
                         dc=self.dc, hybrid=self.hybrid)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A grid of independent simulation points.
-
-    The expansion order is load-major — ``for seed: for rps: for app:
-    for config:`` — matching the classic
-    :func:`repro.experiments.latency_matrix.run` loop, so tables built
-    by zipping :meth:`points` against results reproduce the serial
-    harness byte-for-byte.
-    """
-
-    configs: Tuple[SystemConfig, ...]
-    apps: Tuple[AppSpec, ...]
-    loads: Tuple[float, ...]
-    seeds: Tuple[int, ...] = (1,)
-    n_servers: int = 2
-    duration_s: float = 0.03
-    warmup_fraction: float = 0.25
-    arrivals: object = "poisson"
-    dc: Optional[object] = None             # repro.dc.DcConfig or None
-    hybrid: Optional[object] = None         # repro.hybrid.HybridConfig
-
-    def __post_init__(self):
-        """Reject grids with an empty axis."""
-        if not (self.configs and self.apps and self.loads and self.seeds):
-            raise ValueError("SweepSpec needs at least one config, app, "
-                             "load and seed")
-
-    def __len__(self) -> int:
-        """Number of grid cells."""
-        return (len(self.configs) * len(self.apps) * len(self.loads)
-                * len(self.seeds))
-
-    def points(self) -> List[SweepPoint]:
-        """Expand the grid.
-
-        Returns:
-            The points in deterministic seed/load/app/config-major
-            order (one entry per grid cell).
-        """
-        return [
-            SweepPoint(config=config, app=app, rps=float(rps),
-                       n_servers=self.n_servers,
-                       duration_s=self.duration_s, seed=seed,
-                       warmup_fraction=self.warmup_fraction,
-                       arrivals=self.arrivals, dc=self.dc,
-                       hybrid=self.hybrid)
-            for seed in self.seeds
-            for rps in self.loads
-            for app in self.apps
-            for config in self.configs
-        ]

@@ -90,6 +90,3 @@ class RngStreams:
             gen = np.random.default_rng(np.random.SeedSequence([self.seed, key]))
             self._streams[name] = gen
         return gen
-
-    def __getitem__(self, name: str) -> np.random.Generator:
-        return self.stream(name)

@@ -10,9 +10,9 @@ from repro._lazy import lazy_exports
 from repro.workloads.arrival import (ARRIVAL_NAMES, PROFILES, BurstyProfile,
                                      ConstantProfile, DiurnalProfile,
                                      FlashCrowdProfile, MmppProfile,
-                                     PiecewiseProfile, PoissonArrivals,
-                                     RateProfile, arrival_times,
-                                     bursty_arrival_times, get_profile)
+                                     PiecewiseProfile, RateProfile,
+                                     arrival_times, bursty_arrival_times,
+                                     get_profile)
 from repro.workloads.spec import STORAGE, AppSpec, CallSpec, ServiceSpec
 
 if TYPE_CHECKING:
@@ -34,7 +34,6 @@ __all__ = [
     "CallSpec",
     "AppSpec",
     "STORAGE",
-    "PoissonArrivals",
     "arrival_times",
     "bursty_arrival_times",
     "RateProfile",

@@ -30,28 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
-
-
-class PoissonArrivals:
-    """Iterator of absolute arrival times (ns) with exponential gaps."""
-
-    def __init__(self, rate_per_s: float, rng: np.random.Generator,
-                 start_ns: float = 0.0):
-        if rate_per_s <= 0:
-            raise ValueError("rate must be positive")
-        self.mean_gap_ns = 1e9 / rate_per_s
-        self.rng = rng
-        self._now = start_ns
-
-    def __iter__(self) -> Iterator[float]:
-        return self
-
-    def __next__(self) -> float:
-        self._now += self.rng.exponential(self.mean_gap_ns)
-        return self._now
 
 
 def arrival_times(rate_per_s: float, duration_s: float,
@@ -142,7 +123,8 @@ class RateProfile:
 
     A profile is a *multiplier* over the nominal rate: ``simulate(...,
     rps_per_server=R, arrivals=profile)`` offers an instantaneous rate
-    of ``R * multiplier_at(t)`` requests/s.  Stationary profiles keep
+    of ``R * m(t)`` requests/s, where each subclass's ``generate``
+    thins a Poisson stream by its own ``m``.  Stationary profiles keep
     the time-averaged multiplier at 1.0 so the mean offered load always
     equals the nominal RPS, whatever the shape.
 
@@ -155,17 +137,6 @@ class RateProfile:
     #: same numeric fields can never fingerprint identically).
     kind: str = "constant"
 
-    # -- shape -----------------------------------------------------------
-    def multiplier_at(self, t_s: np.ndarray) -> np.ndarray:
-        """Rate multiplier at each profile-relative time (seconds)."""
-        return np.ones_like(np.asarray(t_s, dtype=float))
-
-    def peak_multiplier(self, duration_s: float) -> float:
-        """Upper bound of :meth:`multiplier_at` over ``[0, duration_s]``
-        (the thinning envelope)."""
-        return 1.0
-
-    # -- generation ------------------------------------------------------
     def generate(self, rate_per_s: float, duration_s: float,
                  rng: np.random.Generator,
                  start_ns: float = 0.0) -> np.ndarray:
@@ -173,10 +144,10 @@ class RateProfile:
 
         Every returned time is strictly below the horizon; the RNG draw
         order follows the module contract (state draws, candidate gaps,
-        accept uniforms).
+        accept uniforms).  The base profile is stationary Poisson: it
+        calls :func:`arrival_times` verbatim (same draws, same trim).
         """
-        return _thin(rate_per_s, duration_s, rng, start_ns,
-                     self.peak_multiplier(duration_s), self.multiplier_at)
+        return arrival_times(rate_per_s, duration_s, rng, start_ns=start_ns)
 
     # -- guard support ---------------------------------------------------
     def count_cv(self, span_s: float) -> Optional[float]:
@@ -197,17 +168,11 @@ class RateProfile:
 class ConstantProfile(RateProfile):
     """Stationary Poisson arrivals — the paper's default process.
 
-    ``generate`` delegates to :func:`arrival_times` verbatim (same
-    draws, same trim), so ``arrivals="poisson"`` stays byte-identical
-    to the pre-profile simulator.
+    It inherits :meth:`RateProfile.generate`, so ``arrivals="poisson"``
+    stays byte-identical to the pre-profile simulator.
     """
 
     kind: str = "poisson"
-
-    def generate(self, rate_per_s: float, duration_s: float,
-                 rng: np.random.Generator,
-                 start_ns: float = 0.0) -> np.ndarray:
-        return arrival_times(rate_per_s, duration_s, rng, start_ns=start_ns)
 
 
 @dataclass(frozen=True)
@@ -269,13 +234,13 @@ class DiurnalProfile(RateProfile):
         if self.period_s <= 0:
             raise ValueError("period_s must be positive")
 
-    def multiplier_at(self, t_s: np.ndarray) -> np.ndarray:
-        t_s = np.asarray(t_s, dtype=float)
-        return 1.0 + self.amplitude * np.sin(
-            2.0 * np.pi * (t_s / self.period_s + self.phase))
-
-    def peak_multiplier(self, duration_s: float) -> float:
-        return 1.0 + self.amplitude
+    def generate(self, rate_per_s: float, duration_s: float,
+                 rng: np.random.Generator,
+                 start_ns: float = 0.0) -> np.ndarray:
+        return _thin(rate_per_s, duration_s, rng, start_ns,
+                     1.0 + self.amplitude,
+                     lambda t_s: 1.0 + self.amplitude * np.sin(
+                         2.0 * np.pi * (t_s / self.period_s + self.phase)))
 
     def count_cv(self, span_s: float) -> Optional[float]:
         return None     # non-stationary: the guard must stay sharp
@@ -316,9 +281,6 @@ class MmppProfile(RateProfile):
         mean = sum(m * d for m, d in
                    zip(self.multipliers, self.mean_dwell_s)) / total
         return tuple(m / mean for m in self.multipliers)
-
-    def peak_multiplier(self, duration_s: float) -> float:
-        return max(self._normalized())
 
     def generate(self, rate_per_s: float, duration_s: float,
                  rng: np.random.Generator,
@@ -398,16 +360,6 @@ class FlashCrowdProfile(RateProfile):
             m[falling] = 1.0 + extra * (dn1 - f[falling]) / self.decay
         return m
 
-    def multiplier_at(self, t_s: np.ndarray) -> np.ndarray:
-        # Callers outside generate() should divide by the duration
-        # themselves; generate() passes profile-relative seconds and a
-        # closure scales them (see below).
-        raise TypeError("FlashCrowdProfile is fraction-based; "
-                        "use generate() or _multiplier_frac()")
-
-    def peak_multiplier(self, duration_s: float) -> float:
-        return self.magnitude
-
     def generate(self, rate_per_s: float, duration_s: float,
                  rng: np.random.Generator,
                  start_ns: float = 0.0) -> np.ndarray:
@@ -448,16 +400,13 @@ class PiecewiseProfile(RateProfile):
         if max(m for __, m in self.points) <= 0:
             raise ValueError("at least one multiplier must be positive")
 
-    def peak_multiplier(self, duration_s: float) -> float:
-        return max(m for __, m in self.points)
-
     def generate(self, rate_per_s: float, duration_s: float,
                  rng: np.random.Generator,
                  start_ns: float = 0.0) -> np.ndarray:
         fracs = np.asarray([f for f, __ in self.points])
         mults = np.asarray([m for __, m in self.points])
         return _thin(rate_per_s, duration_s, rng, start_ns,
-                     self.peak_multiplier(duration_s),
+                     max(m for __, m in self.points),
                      lambda t_s: np.interp(t_s / duration_s, fracs, mults))
 
     def count_cv(self, span_s: float) -> Optional[float]:

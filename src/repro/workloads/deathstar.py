@@ -230,3 +230,22 @@ SOCIAL_NETWORK_APPS: Dict[str, AppSpec] = {
 DEATHSTAR_APPS: Dict[str, AppSpec] = {
     label: deathstar_app(label) for label in _ALL_ROOTS
 }
+
+
+def app_by_name(name: str) -> AppSpec:
+    """A DeathStarBench request type by label, or a synthetic app by its
+    distribution name (the CLI's ``--app`` and the fuzz trials' app).
+
+    Raises:
+        ValueError: ``name`` is neither; the message lists both sets.
+    """
+    if name in DEATHSTAR_APPS:
+        return DEATHSTAR_APPS[name]
+    from repro.workloads.synthetic import SYNTHETIC_DISTRIBUTIONS, \
+        synthetic_app
+
+    if name in SYNTHETIC_DISTRIBUTIONS:
+        return synthetic_app(name)
+    raise ValueError(f"unknown app {name!r}; pick one of "
+                     f"{sorted(DEATHSTAR_APPS)} or "
+                     f"{list(SYNTHETIC_DISTRIBUTIONS)}")

@@ -81,10 +81,6 @@ class TraceReplay:
     def count_cv(self, span_s: float) -> Optional[float]:
         return None     # arbitrary recorded load: guard stays sharp
 
-    def span_s(self) -> float:
-        """Trace length in seconds (time of the last arrival)."""
-        return (max(self.times_ns) * 1e-9) if self.times_ns else 0.0
-
 
 # ------------------------------------------------------------------ files
 

@@ -109,9 +109,6 @@ class AppSpec:
 
         visit(self.root)
 
-    def service(self, name: str) -> ServiceSpec:
-        return self.services[name]
-
     def mean_rpc_count(self) -> float:
         """Expected downstream RPCs triggered by one root request."""
 

@@ -93,21 +93,6 @@ def test_experiment_resume_is_only_for_all():
         main(["experiment", "all", "--resume", "--no-cache"])
 
 
-def test_run_all_module_is_an_alias_of_experiment_all():
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in sys.path if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.experiments.run_all", "--resume",
-         "--no-cache", "--dispatch", "least"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode != 0
-    assert "requires the result cache" in proc.stderr
-
-
 def test_systems_table_complete():
     assert set(SYSTEMS) == {"umanycore", "scaleout", "serverclass",
                             "serverclass128"}
@@ -271,21 +256,69 @@ def test_profile_command_prints_hot_functions_and_dumps_stats(tmp_path,
     assert pstats.Stats(str(out)).total_calls > 0
 
 
-def test_faults_command_reports_the_injected_schedule(capsys):
-    main(["faults", "--system", "umanycore", "--app", "Text",
+def test_simulate_reports_the_injected_schedule(capsys):
+    main(["simulate", "--system", "umanycore", "--app", "Text",
           "--rps", "5000", "--servers", "1", "--duration", "0.002",
-          "--fault-rate", "0", "--fail-village", "1",
-          "--fault-at-ms", "0.5", "--recover-at-ms", "1.0"])
+          "--fail-village", "1", "--fault-at-ms", "0.5",
+          "--recover-at-ms", "1.0"])
     text = capsys.readouterr().out
+    assert text.startswith("2 fault events (detection lag 100 us):")
     assert "availability" in text and "resilience :" in text
     assert "injected   : 2/2 events (village=2)" in text
 
 
-def test_faults_command_json(capsys):
-    main(["faults", "--system", "umanycore", "--app", "Text",
+def test_simulate_faults_json(capsys):
+    main(["simulate", "--system", "umanycore", "--app", "Text",
           "--rps", "5000", "--servers", "1", "--duration", "0.002",
-          "--fault-rate", "0", "--fail-village", "1",
-          "--fault-at-ms", "0.5", "--json"])
+          "--fail-village", "1", "--fault-at-ms", "0.5", "--json"])
     d = json.loads(capsys.readouterr().out)
     assert d["faults"]["injected"]["by_kind"] == {"village": 1}
     assert d["offered"] == d["completed"] + d["rejected"] + d["failed"]
+
+
+def test_trace_refuses_autoscale_with_gauge_sampling(tmp_path, capsys):
+    argv = ["trace", "--system", "umanycore", "--servers", "2",
+            "--duration", "0.002", "--rps", "2000", "--autoscale",
+            "--out", str(tmp_path / "t.json")]
+    with pytest.raises(SystemExit, match="--metrics-interval-us 0"):
+        main(argv)
+    assert not (tmp_path / "t.json").exists()
+    main(argv + ["--metrics-interval-us", "0"])
+    assert "scale-ups" in capsys.readouterr().out
+    assert (tmp_path / "t.json").exists()
+
+
+def test_sweep_rejects_unknown_names_before_running(capsys):
+    with pytest.raises(SystemExit,
+                       match=r"unknown system 'foo'; pick one of \["):
+        main(["sweep", "--systems", "umanycore,foo", "--no-cache"])
+    with pytest.raises(SystemExit, match="unknown system ''"):
+        main(["sweep", "--systems", "", "--no-cache"])   # an empty axis
+    with pytest.raises(SystemExit, match="unknown app 'nope'"):
+        main(["sweep", "--apps", "nope", "--no-cache"])
+    assert "[1/" not in capsys.readouterr().err
+
+
+def test_sweep_grid_is_seed_load_app_config_major(monkeypatch):
+    import repro.runner
+
+    class Stop(Exception):
+        pass
+
+    labels = []
+
+    def capture(points, **kw):
+        labels.extend(p.label for p in points)
+        raise Stop
+
+    monkeypatch.setattr(repro.runner, "run_points", capture)
+    with pytest.raises(Stop):
+        main(["sweep", "--systems", "umanycore,scaleout", "--apps",
+              "UrlShort", "--loads", "1000,2000", "--seeds", "1,2",
+              "--no-cache"])
+    assert len(labels) == 8
+    assert labels[:4] == ["uManycore/UrlShort@1000 seed1",
+                          "ScaleOut/UrlShort@1000 seed1",
+                          "uManycore/UrlShort@2000 seed1",
+                          "ScaleOut/UrlShort@2000 seed1"]
+    assert all(lbl.endswith("seed2") for lbl in labels[4:])

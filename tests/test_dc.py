@@ -288,29 +288,34 @@ def test_pooled_summary_respects_warmup_and_empty_sentinel():
 
 # ------------------------------------------------------------ CLI / UX
 
-def test_cli_parses_dc_flags_and_dc_subcommand():
-    from repro.cli import EXPERIMENTS, build_parser
+def test_cli_parses_dc_flags():
+    from repro.cli import EXPERIMENTS, _dc_setup, build_parser
 
     args = build_parser().parse_args(
         ["simulate", "--system", "umanycore", "--lb", "p2c",
          "--placement", "2", "--autoscale", "--min-servers", "2"])
     assert (args.lb, args.placement) == ("p2c", 2)
     assert args.autoscale and args.min_servers == 2
-    args = build_parser().parse_args(["dc", "--system", "umanycore"])
-    assert args.func.__name__ == "cmd_dc"
+    dc = _dc_setup(args)
+    assert (dc.lb, dc.replication, dc.autoscale, dc.min_servers) == \
+        ("p2c", 2, True, 2)
+    assert _dc_setup(build_parser().parse_args(
+        ["simulate", "--system", "umanycore"])) is None
     assert "figD" in EXPERIMENTS
     with pytest.raises(SystemExit):
         build_parser().parse_args(["simulate", "--lb", "magic"])
 
 
-def test_cli_dc_command_prints_routing_table(capsys):
+def test_cli_simulate_prints_dc_routing_table(capsys):
     from repro.cli import main
 
-    main(["dc", "--system", "umanycore", "--app", "Text", "--rps", "3000",
-          "--servers", "2", "--duration", "0.003", "--lb", "least"])
+    main(["simulate", "--system", "umanycore", "--app", "Text",
+          "--rps", "3000", "--servers", "2", "--duration", "0.003",
+          "--lb", "least"])
     out = capsys.readouterr().out
-    assert "front-end lb" in out.lower() or "lb" in out.lower()
-    assert "routed" in out.lower()
+    assert "dc         : lb=least" in out
+    assert "per-server routing (lb=least):" in out
+    assert "routed" in out and "p99 us" in out
 
 
 def test_figd_experiment_registered_in_run_all():

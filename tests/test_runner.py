@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.runner import (ResultCache, SweepPoint, SweepSpec, clear_memo,
+from repro.runner import (ResultCache, SweepPoint, clear_memo,
                           executing, execution, result_from_dict,
                           result_to_dict, run_points)
 from repro.systems import SCALEOUT, UMANYCORE, simulate
@@ -18,25 +18,6 @@ def point(config=UMANYCORE, rps=2000.0, seed=3, **kw):
     kw.setdefault("n_servers", 1)
     kw.setdefault("duration_s", 0.004)
     return SweepPoint(config=config, app=APP, rps=rps, seed=seed, **kw)
-
-
-# ------------------------------------------------------------- SweepSpec
-
-def test_spec_expansion_order_is_seed_load_app_config_major():
-    spec = SweepSpec(configs=(UMANYCORE, SCALEOUT), apps=(APP,),
-                     loads=(1000.0, 2000.0), seeds=(1, 2))
-    labels = [p.label for p in spec.points()]
-    assert len(spec) == len(labels) == 8
-    assert labels[:4] == ["uManycore/UrlShort@1000 seed1",
-                          "ScaleOut/UrlShort@1000 seed1",
-                          "uManycore/UrlShort@2000 seed1",
-                          "ScaleOut/UrlShort@2000 seed1"]
-    assert all(lbl.endswith("seed2") for lbl in labels[4:])
-
-
-def test_spec_rejects_empty_axes():
-    with pytest.raises(ValueError):
-        SweepSpec(configs=(), apps=(APP,), loads=(1000.0,))
 
 
 # ------------------------------------------------------------- cache key

@@ -138,9 +138,10 @@ def test_counter_and_histogram():
     h = reg.histogram("lat")
     for v in (1.0, 2.0, 3.0, 4.0):
         h.observe(v)
-    assert h.summary()["count"] == 4
+    assert h.summary()["count"] == len(h) == 4
     assert h.percentile(50) == pytest.approx(2.5)
     assert reg.histogram("empty").summary() == {"count": 0}
+    assert not reg.histogram("empty")       # falsy until observed
 
 
 def test_gauge_sampling_driven_by_engine():
@@ -367,7 +368,8 @@ def test_traced_simulation_breakdown_consistent(config):
                       rps_per_server=4000, n_servers=1, duration_s=0.008,
                       seed=3, tracer=tracer)
     assert result.completed > 0
-    assert len(tracer.spans) > result.completed
+    assert len(tracer) == len(tracer.spans) > result.completed
+    assert not Tracer()                     # falsy until a span lands
     agg = result.breakdown()
     assert agg is not None
     assert agg["wall_mean_ns"] == pytest.approx(result.summary.mean,

@@ -6,20 +6,12 @@ import pytest
 from repro.workloads import (
     SYNTHETIC_DISTRIBUTIONS,
     AlibabaTraceGenerator,
-    PoissonArrivals,
     arrival_times,
     synthetic_app,
 )
 
 
 # ----------------------------------------------------------------- arrivals
-
-def test_poisson_iterator_monotone():
-    rng = np.random.default_rng(0)
-    arr = PoissonArrivals(1e6, rng)
-    times = [next(arr) for __ in range(100)]
-    assert all(b > a for a, b in zip(times, times[1:]))
-
 
 def test_poisson_rate():
     rng = np.random.default_rng(0)
@@ -30,8 +22,6 @@ def test_poisson_rate():
 
 def test_arrival_validation():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        PoissonArrivals(0, rng)
     with pytest.raises(ValueError):
         arrival_times(100, 0, rng)
 

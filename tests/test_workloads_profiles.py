@@ -96,6 +96,35 @@ def test_constant_profile_matches_arrival_times_exactly():
     assert (direct == via).all()
 
 
+#: Per named profile: total arrivals and SHA-256 prefix of the float64
+#: arrays over every (seed, duration, start) below, at 20 K RPS.  A
+#: change to any profile's draw order or arithmetic moves its entry.
+PINNED_ARRAYS = {
+    "poisson": (2062, "1db8bc76b4ff179be654ed7d91fe9562"),
+    "bursty": (1874, "db12523ebce61d721eca618484e0f46a"),
+    "diurnal": (2582, "fd5ffc413d9ac3027eeed164c52d236a"),
+    "mmpp": (2198, "5d42e639304bdd3f778bbd2c35ea601c"),
+    "flash": (3246, "6a8bf3ea91dceef05857b9e3d1274721"),
+    "ramp": (2036, "6625a5e005c521d817be0845394962bf"),
+}
+
+
+@pytest.mark.parametrize("name", ARRIVAL_NAMES)
+def test_named_profile_arrays_are_pinned(name):
+    import hashlib
+
+    h, total = hashlib.sha256(), 0
+    for seed in (1, 7, 42):
+        for duration_s in (0.004, 0.013):
+            for start_ns in (0.0, 2.5e6):
+                times = get_profile(name).generate(
+                    20_000.0, duration_s, np.random.default_rng(seed),
+                    start_ns=start_ns)
+                h.update(np.asarray(times, dtype="<f8").tobytes())
+                total += len(times)
+    assert (total, h.hexdigest()[:32]) == PINNED_ARRAYS[name]
+
+
 @pytest.mark.parametrize("name", ["poisson", "bursty", "mmpp", "diurnal"])
 def test_mean_rate_preserved(name):
     """Mean-one profiles deliver the requested average load."""
@@ -121,6 +150,7 @@ def test_count_cv_classification():
     assert get_profile("mmpp").count_cv(0.01) > 0.0
     for name in ("diurnal", "flash", "ramp"):
         assert get_profile(name).count_cv(0.01) is None
+    assert TraceReplay(times_ns=(1.0, 2.0)).count_cv(0.01) is None
 
 
 def test_get_profile_passthrough_and_unknown():
